@@ -53,7 +53,9 @@ void usage(const char* argv0) {
       "  --checkpoint-every N    checkpoint + reduce a group's log every N\n"
       "                          logged updates (default 1024; 0 = never)\n"
       "  --flush-ms N            async flush period (default 100)\n"
-      "  --sync                  flush synchronously on every sequencing\n"
+      "  --sync                  acknowledge after the record is durable;\n"
+      "                          records that arrive during a commit join\n"
+      "                          the next one\n"
       "  --segment-bytes N       log segment rotation size (default 1 MiB)\n"
       "  --client-timeout-ms N   treat members silent for N ms as crashed\n"
       "  --keepalive-ms N        transport pings on idle connections\n",
@@ -204,6 +206,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(s.frames_sent));
   if (disk_env != nullptr) {
     // Final flush so a clean shutdown loses nothing, then the disk ledger.
+    // rt.stop() has already joined the commit thread, so it runs alone.
     (void)store->flush();
     const disk::DiskCounters& d = disk_env->stats();
     std::printf(

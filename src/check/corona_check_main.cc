@@ -48,6 +48,10 @@ int usage() {
       "  --seed-batch-bug            plant the batch mutation (server drops\n"
       "                              every coalesced frame's tail record;\n"
       "                              the boundary oracle must catch it)\n"
+      "  --seed-commit-bug           plant the commit mutation (server\n"
+      "                              delivers at commit submission, not\n"
+      "                              completion; the durable-before-ack\n"
+      "                              oracle must catch it)\n"
       "  --no-prune                  disable revisited-state pruning\n"
       "  --replay TRACE|@FILE        re-execute one schedule trace twice\n"
       "  --trace-out FILE            write a violating trace here\n";
@@ -142,6 +146,8 @@ int main(int argc, char** argv) {
                               corona::kMillisecond;
     } else if (arg == "--seed-batch-bug") {
       world.seed_batch_bug = true;
+    } else if (arg == "--seed-commit-bug") {
+      world.seed_commit_bug = true;
     } else if (arg == "--no-prune") {
       options.prune_visited = false;
     } else if (arg == "--replay") {
@@ -217,6 +223,7 @@ int main(int argc, char** argv) {
                     : "")
             << (world.seed_ordering_bug ? " --seed-bug" : "")
             << (world.seed_batch_bug ? " --seed-batch-bug" : "")
+            << (world.seed_commit_bug ? " --seed-commit-bug" : "")
             << (world.batch_max_msgs > 1
                     ? " --batch " + std::to_string(world.batch_max_msgs)
                     : "")

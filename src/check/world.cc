@@ -96,11 +96,18 @@ ServerConfig CheckWorld::single_server_config() const {
   cfg.batch_max_msgs = options_.batch_max_msgs;
   cfg.batch_max_delay = options_.batch_max_delay;
   cfg.debug_drop_batch_tail = options_.seed_batch_bug;
+  cfg.debug_ack_before_commit = options_.seed_commit_bug;
   return cfg;
 }
 
 void CheckWorld::build_single() {
   server_ = std::make_unique<CoronaServer>(single_server_config(), &store_);
+  if (options_.flush == FlushPolicy::kSync) {
+    rt_.set_commit_observer([this](NodeId owner, std::uint64_t tag,
+                                   bool completed) {
+      if (owner == kServer) on_commit(tag, completed);
+    });
+  }
   rt_.add_node(kServer, server_.get(), rt_.network().add_host(HostProfile{}));
   CoronaClient::Config ccfg;
   ccfg.gap_detection = !options_.seed_ordering_bug && !options_.seed_batch_bug;
@@ -320,6 +327,27 @@ void CheckWorld::on_deliver(std::size_t i, GroupId g, const UpdateRecord& rec) {
   }
   last[g.value] = rec.seq;
   check_record(g, rec, "delivery to client " + std::to_string(i));
+  if (options_.mode == WorldOptions::Mode::kSingleServer &&
+      options_.flush == FlushPolicy::kSync && g == kG &&
+      rec.seq > acked_head_) {
+    fail("durability violation: client " + std::to_string(i) +
+         " delivered seq " + std::to_string(rec.seq) +
+         " before a completed commit covered it (acked durable head " +
+         std::to_string(acked_head_) + ")");
+  }
+}
+
+void CheckWorld::on_commit(std::uint64_t tag, bool completed) {
+  if (!completed) {
+    // Tags restart with each server incarnation; a fresh submission
+    // replaces whatever a crashed incarnation left under the same tag.
+    commit_head_[tag] = store_.durable_head(kG);
+    return;
+  }
+  const auto it = commit_head_.find(tag);
+  if (it == commit_head_.end()) return;
+  acked_head_ = std::max(acked_head_, it->second);
+  commit_head_.erase(it);
 }
 
 void CheckWorld::on_joined(std::size_t i, GroupId g, Status s) {

@@ -29,6 +29,14 @@
 //                      at the server's head seq; replicated: leaf copies and
 //                      clients at the coordinator's head) is byte-identical
 //                      with the authority.
+//   * durable-before-ack — single-server kSync only: a client may deliver
+//                      (group, seq) only once a completed commit covers it,
+//                      i.e. seq <= the store's durable head as of the
+//                      submission of the last commit whose completion has
+//                      fired (SimRuntime::set_commit_observer).  The sim
+//                      runs commit jobs inline, so the store itself is
+//                      durable early; the completion is what the server
+//                      may act on.
 //   * structure      — every existing check_invariants() walk stays quiet.
 //
 // Violations accumulate into a report string; the first one ends the run.
@@ -92,7 +100,14 @@ struct WorldOptions {
   // kSync keeps "delivered => durable", which the cross-crash total-order
   // oracle depends on; with kAsync the (group, seq) map is reset per server
   // epoch instead (a recovering server may legitimately re-sequence).
+  // Single-server kSync also arms the durable-before-ack oracle.
   FlushPolicy flush = FlushPolicy::kSync;
+
+  // Mutation: the server delivers each multicast when its commit is
+  // submitted rather than when the commit completes
+  // (ServerConfig::debug_ack_before_commit), so deliveries run ahead of the
+  // disk and the durable-before-ack oracle must catch them.
+  bool seed_commit_bug = false;
 };
 
 class CheckWorld {
@@ -168,6 +183,7 @@ class CheckWorld {
   void build_replicated();
   CoronaClient::Callbacks callbacks_for(std::size_t i);
   void on_deliver(std::size_t i, GroupId g, const UpdateRecord& rec);
+  void on_commit(std::uint64_t tag, bool completed);
   void on_joined(std::size_t i, GroupId g, Status s);
   void on_lock_granted(std::size_t i, GroupId g, ObjectId obj);
   void check_record(GroupId g, const UpdateRecord& rec, const std::string& via);
@@ -211,6 +227,11 @@ class CheckWorld {
   std::map<std::uint64_t, std::pair<std::size_t, std::uint64_t>> believed_;
   std::map<std::uint64_t, LockSnapshot> lock_prev_;  // single-server FIFO audit
   std::uint64_t deliveries_ = 0;
+  // Durable-before-ack: the store's durable head of kG at each in-flight
+  // commit's submission (by completion tag), and the highest such head a
+  // fired completion has published.
+  std::map<std::uint64_t, SeqNo> commit_head_;
+  SeqNo acked_head_ = 0;
 };
 
 }  // namespace corona::check

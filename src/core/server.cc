@@ -89,7 +89,7 @@ void CoronaServer::on_message(NodeId from, const Message& m) {
 
 void CoronaServer::on_timer(std::uint64_t tag) {
   if (tag == kFlushTimer) {
-    flush_now();
+    submit_commit(0);
     schedule_flush();
     return;
   }
@@ -215,8 +215,12 @@ void CoronaServer::handle_create(NodeId from, const Message& m) {
   groups_.emplace(m.group, std::move(group));
   reduction_[m.group] = config_.reduction_factory();
   if (config_.stateful) {
-    store_->create_group(meta, m.state);
-    if (config_.flush == FlushPolicy::kSync) flush_now();
+    // Under kSync the reply waits for the checkpoint to be durable: the
+    // store syncs it before returning, like a group removal, and the sync
+    // counts as a flush.
+    const bool sync = config_.flush == FlushPolicy::kSync;
+    store_->create_group(meta, m.state, /*durable=*/sync);
+    if (sync) ++stats_.flushes;
   }
   send(from, make_reply(Status::ok(), m.request_id));
 }
@@ -531,19 +535,19 @@ void CoronaServer::sequence_and_deliver(Group& group, UpdateRecord rec,
   sequence_record(group, rec);
 
   if (config_.stateful && config_.flush == FlushPolicy::kSync) {
-    // Ablation baseline: hold the delivery until the log record is on the
-    // device.
-    const std::uint64_t bytes = store_->pending_bytes();
-    const std::size_t records = store_->flush();
-    ++stats_.flushes;
-    const TimePoint done =
-        rt().disk_write(id(), bytes, std::max<std::size_t>(records, 1));
     const std::uint64_t token = next_pending_++;
-    pending_sync_[token].push_back(PendingDelivery{
-        group.meta().id, std::move(rec), sender_inclusive, sender});
-    set_timer(done - now(), kSyncTagBase + token);
-    maybe_reduce(group);
-    return;
+    if (!config_.debug_ack_before_commit) {
+      // Hold the delivery (the sender's ack included) until the commit
+      // that covers the record completes.
+      pending_sync_[token].push_back(PendingDelivery{
+          group.meta().id, std::move(rec), sender_inclusive, sender});
+      submit_commit(kSyncTagBase + token);
+      maybe_reduce(group);
+      return;
+    }
+    // Planted bug: nothing waits for this completion; the fan-out below
+    // runs ahead of it.
+    submit_commit(kSyncTagBase + token);
   }
 
   deliver_to_members(group, rec, sender_inclusive, sender);
@@ -591,21 +595,16 @@ void CoronaServer::drain_batch() {
   if (live.empty()) return;
 
   if (config_.stateful && config_.flush == FlushPolicy::kSync) {
-    // Group commit: ONE flush and ONE device write cover the entire batch;
-    // the device's fixed per-op cost is paid once for the whole run.  The
-    // run is delivered together when the commit lands.
-    const std::uint64_t bytes = store_->pending_bytes();
-    const std::size_t records = store_->flush();
-    ++stats_.flushes;
-    if (records > 1) {
+    // Group commit: ONE commit covers the entire batch; the device's fixed
+    // per-op cost is paid once for the whole run.  The run is delivered
+    // together when the commit completes.
+    if (live.size() > 1) {
       ++stats_.group_commits;
-      stats_.group_commit_records += records;
+      stats_.group_commit_records += live.size();
     }
-    const TimePoint done =
-        rt().disk_write(id(), bytes, std::max<std::size_t>(records, 1));
     const std::uint64_t token = next_pending_++;
     pending_sync_[token] = std::move(live);
-    set_timer(done - now(), kSyncTagBase + token);
+    submit_commit(kSyncTagBase + token);
     for (GroupId gid : touched) {
       if (Group* g = find_group(gid)) maybe_reduce(*g);
     }
@@ -838,12 +837,9 @@ void CoronaServer::schedule_flush() {
   set_timer(config_.flush_interval, kFlushTimer);
 }
 
-void CoronaServer::flush_now() {
-  const std::uint64_t bytes = store_->pending_bytes();
-  // Commit-group size is already accounted via pending_bytes above.
-  (void)store_->flush();
+void CoronaServer::submit_commit(std::uint64_t tag) {
   ++stats_.flushes;
-  if (bytes > 0) rt().disk_write(id(), bytes);
+  rt().submit_commit(id(), store_->commit_job(), tag);
 }
 
 void CoronaServer::drop_member_everywhere(NodeId who) {

@@ -54,7 +54,7 @@ enum class FlushPolicy {
   kNone,   // never flush (pure-memory log; everything lost on crash)
   kAsync,  // flush on a timer, off the multicast critical path (the paper's
            // design: "multicast data to a group in parallel with disk logging")
-  kSync,   // flush + await the device before delivering (ablation baseline)
+  kSync,   // await the commit covering a record before delivering it
 };
 
 struct ServerConfig {
@@ -112,6 +112,12 @@ struct ServerConfig {
   // path exactly.
   std::size_t batch_max_msgs = 1;
   Duration batch_max_delay = 0;
+
+  // Test hook (bug seeding for the checker): under kSync, deliver each
+  // sequenced multicast when its commit is submitted instead of when the
+  // commit completes.  The durable-before-ack oracle must catch the
+  // deliveries that run ahead of the disk.  Never enable outside tests.
+  bool debug_ack_before_commit = false;
 
   // Test hook (bug seeding for the checker): silently drop the last message
   // of every multi-message client frame.  The contiguity oracle must catch
@@ -236,7 +242,9 @@ class CoronaServer : public Node {
   void maybe_reduce(Group& group);
   void drop_member_everywhere(NodeId who);  // leave/disconnect cleanup
   void schedule_flush();
-  void flush_now();
+  // Hands the store's staged records to the runtime's commit pipeline;
+  // on_timer(tag) follows once they are durable (tag 0: no completion).
+  void submit_commit(std::uint64_t tag);
   void process(NodeId from, const Message& m);  // post-QoS dispatch
   void recover_from_store();
 

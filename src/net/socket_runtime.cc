@@ -132,6 +132,14 @@ void SocketRuntime::stop() {
     wake();
     loop_thread_.join();
   }
+  std::thread committer;
+  {
+    MutexLock lock(commits_mu_);
+    commits_stop_ = true;
+    committer = std::move(commit_thread_);
+  }
+  commits_cv_.notify_all();
+  if (committer.joinable()) committer.join();
   for (auto& [fd, conn] : conns_) {
     (void)conn;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
@@ -273,6 +281,39 @@ void SocketRuntime::cancel_timer(TimerHandle handle) {
     ops_.push_back(std::move(op));
   }
   wake();
+}
+
+void SocketRuntime::submit_commit(NodeId owner, CommitJob job,
+                                  std::uint64_t tag) {
+  {
+    MutexLock lock(commits_mu_);
+    if (commits_stop_) return;
+    if (!commit_thread_.joinable()) start_commit_thread();
+    commits_.push_back(CommitReq{owner, std::move(job), tag});
+  }
+  commits_cv_.notify_one();
+}
+
+// Spawns the commit thread; its body (commit_main) never runs on the loop.
+// reach: waive blocking-in-loop-context -- spawns a thread, runs nothing
+void SocketRuntime::start_commit_thread() {
+  commit_thread_ = std::thread([this] { commit_main(); });
+}
+
+void SocketRuntime::commit_main() {
+  MutexLock lock(commits_mu_);
+  for (;;) {
+    while (commits_.empty() && !commits_stop_) commits_cv_.wait(lock);
+    if (commits_.empty()) return;  // stopping, and every commit has run
+    CommitReq req = std::move(commits_.front());
+    commits_.pop_front();
+    lock.unlock();
+    (void)req.job();
+    // The completion rides the loop's timer queue: deadlines are taken in
+    // completion order, so on_timer calls keep the FIFO order.
+    if (req.tag != 0) set_timer(req.owner, 0, req.tag);
+    lock.lock();
+  }
 }
 
 void SocketRuntime::wake() {

@@ -18,6 +18,15 @@
 //   CoronaClient — and hand work to the loop through a mutex-guarded op
 //   queue plus an eventfd wakeup.
 //
+// Commit thread
+//   Storage commits (Runtime::submit_commit) never run on the loop.  The
+//   first one starts a commit thread that runs them one at a time in FIFO
+//   order and hands each completion back to the loop as a zero-delay timer,
+//   so on_timer(tag) arrives on the loop in submission order.  While one
+//   commit syncs, the loop keeps sequencing; the records it stages meanwhile
+//   join the next commit.  stop() joins the commit thread after the loop,
+//   once every queued commit has run.
+//
 // Connection lifecycle
 //   Peers listed in the address book are dialed eagerly at start() and
 //   redialed forever on failure with capped exponential backoff; the first
@@ -110,8 +119,9 @@ class SocketRuntime : public Runtime {
   // every address-book peer that is not a local node.
   void start();
 
-  // Closes every connection and joins the loop.  Safe to call twice; the
-  // destructor calls it.
+  // Closes every connection and joins the loop, then the commit thread
+  // (after it has run every queued commit; their completions are dropped).
+  // Safe to call twice; the destructor calls it.
   void stop();
 
   // Fault injection / tests: close the connection currently routing to
@@ -139,8 +149,16 @@ class SocketRuntime : public Runtime {
   TimerHandle set_timer(NodeId owner, Duration delay,
                         std::uint64_t tag) override;
   void cancel_timer(TimerHandle handle) override;
+  // Queues the commit for the commit thread (started on first use).  After
+  // stop() the commit is dropped, as a send would be.
+  void submit_commit(NodeId owner, CommitJob job, std::uint64_t tag) override;
 
  private:
+  struct CommitReq {
+    NodeId owner;
+    CommitJob job;
+    std::uint64_t tag = 0;
+  };
   struct Op {
     enum class Kind {
       kSend, kSendBatch, kFanout, kSetTimer, kCancelTimer, kDrop
@@ -212,6 +230,10 @@ class SocketRuntime : public Runtime {
   void sweep_keepalive();
   Duration next_wakeup_delay() const;
   CORONA_NONBLOCKING void wake();
+  void start_commit_thread() CORONA_REQUIRES(commits_mu_);
+  // Commit thread body: runs queued commits until stop() and the queue is
+  // empty.
+  void commit_main();
 
   SocketRuntimeConfig cfg_;
   std::chrono::steady_clock::time_point epoch_;
@@ -244,6 +266,13 @@ class SocketRuntime : public Runtime {
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
   std::thread loop_thread_;
+
+  // -- commit pipeline (any thread; the commit thread pops) ------------------
+  Mutex commits_mu_;
+  CondVar commits_cv_;
+  std::deque<CommitReq> commits_ CORONA_GUARDED_BY(commits_mu_);
+  bool commits_stop_ CORONA_GUARDED_BY(commits_mu_) = false;
+  std::thread commit_thread_ CORONA_GUARDED_BY(commits_mu_);
 
   // Counters are atomics so stats() is safe from any thread while the loop
   // runs; all writes happen on the loop thread.

@@ -723,10 +723,7 @@ void ReplicaServer::coord_finish_takeover() {
 // ---------------------------------------------------------------------------
 
 void ReplicaServer::coord_flush_tick() {
-  const std::uint64_t bytes = store_->pending_bytes();
-  // Commit-group size is already accounted via pending_bytes above.
-  (void)store_->flush();
-  if (bytes > 0) rt().disk_write(id(), bytes);
+  rt().submit_commit(id(), store_->commit_job(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "serial/message.h"
@@ -29,6 +30,15 @@ class Node;
 
 // Opaque timer handle; 0 is never a valid handle.
 using TimerHandle = std::uint64_t;
+
+// What one storage commit pushed to the device: the log bytes it wrote and
+// the log records it made durable (the commit-group size).
+struct CommitResult {
+  std::uint64_t bytes = 0;
+  std::size_t records = 0;
+};
+// A storage commit, handed to the engine by Runtime::submit_commit.
+using CommitJob = std::function<CommitResult()>;
 
 class Runtime {
  public:
@@ -102,18 +112,20 @@ class Runtime {
     for (const Message& m : ms) send(from, to, m);
   }
 
-  // Queues `bytes` at `node`'s log device and returns the completion time.
-  // The device has its own timeline (paper §6: multicast proceeds in
-  // parallel with disk logging); a server enforcing synchronous flush waits
-  // for the returned instant via a timer.  `records` is the number of log
-  // records the write covers — 1 for a classic per-message flush, more for
-  // a group commit — used by the device model for amortization accounting.
-  virtual TimePoint disk_write(NodeId node, std::size_t bytes,
-                               std::size_t records = 1) {
-    (void)node;
-    (void)bytes;
-    (void)records;
-    return now();
+  // Hands a storage commit to the engine.  `job` makes the node's staged
+  // log records durable and reports what it wrote; once it has run, the
+  // engine calls `owner`'s on_timer(tag) on the owner's loop (tag 0: no
+  // completion wanted).  Commits of one engine run one at a time, in
+  // submission order, and complete in that order.  The device has its own
+  // timeline (paper §6: multicast proceeds in parallel with disk logging):
+  //   * SimRuntime runs `job` inline and fires the completion when the
+  //     node's SimDisk finishes the write;
+  //   * SocketRuntime runs it on a commit thread of its own, so the loop
+  //     keeps sequencing while the device syncs;
+  //   * this default (ThreadRuntime) runs it inline and completes at once.
+  virtual void submit_commit(NodeId owner, CommitJob job, std::uint64_t tag) {
+    (void)job();
+    if (tag != 0) set_timer(owner, 0, tag);
   }
 };
 

@@ -175,13 +175,19 @@ void SimRuntime::send_batch(NodeId from, NodeId to,
 
 TimerHandle SimRuntime::set_timer(NodeId owner, Duration delay,
                                   std::uint64_t tag) {
+  return schedule_timer(owner, delay, tag, /*commit=*/false);
+}
+
+TimerHandle SimRuntime::schedule_timer(NodeId owner, Duration delay,
+                                       std::uint64_t tag, bool commit) {
   const TimerHandle handle = next_timer_++;
   const std::uint64_t inc = incarnation_[owner];
   const EventQueue::EventId ev = sim_.queue().schedule_after(
       delay, EventTag{EventKind::kTimer, owner.value, tag},
-      [this, owner, tag, handle, inc] {
+      [this, owner, tag, handle, inc, commit] {
         timers_.erase(handle);
         if (incarnation_[owner] != inc || network_.is_crashed(owner)) return;
+        if (commit && commit_observer_) commit_observer_(owner, tag, true);
         nodes_[owner]->on_timer(tag);
       });
   timers_[handle] = TimerRecord{owner, ev};
@@ -190,6 +196,20 @@ TimerHandle SimRuntime::set_timer(NodeId owner, Duration delay,
 
 void SimRuntime::charge_cpu(NodeId node, Duration d) {
   network_.charge_cpu(node, d, sim_.now());
+}
+
+void SimRuntime::submit_commit(NodeId owner, CommitJob job,
+                               std::uint64_t tag) {
+  const CommitResult r = job();
+  TimePoint done = now();
+  if (r.bytes > 0) {
+    done = disk_write(owner, r.bytes, std::max<std::size_t>(r.records, 1));
+  } else if (const SimDisk* disk = disk_of(owner)) {
+    done = std::max(done, disk->busy_until());
+  }
+  if (tag == 0) return;
+  if (commit_observer_) commit_observer_(owner, tag, false);
+  schedule_timer(owner, done - now(), tag, /*commit=*/true);
 }
 
 TimePoint SimRuntime::disk_write(NodeId node, std::size_t bytes,

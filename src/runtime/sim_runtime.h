@@ -56,10 +56,29 @@ class SimRuntime : public Runtime {
                         std::uint64_t tag) override;
   void cancel_timer(TimerHandle handle) override;
   void charge_cpu(NodeId node, Duration d) override;
-  // Models the write by advancing virtual time — never parks a thread, so
-  // the reach lint must not follow it into real disk paths.
+  // Runs `job` inline, queues what it wrote at the owner's log device and
+  // fires the completion when the device finishes.  A commit that wrote
+  // nothing completes once the device has drained every earlier write.
+  void submit_commit(NodeId owner, CommitJob job, std::uint64_t tag) override;
+
+  // Queues `bytes` at `node`'s log device and returns the completion time.
+  // `records` is the number of log records the write covers — 1 for a
+  // classic per-message flush, more for a group commit — used by the device
+  // model for amortization accounting.  Models the write by advancing
+  // virtual time — never parks a thread, so the reach lint must not follow
+  // it into real disk paths.
   CORONA_NONBLOCKING TimePoint disk_write(NodeId node, std::size_t bytes,
-                                          std::size_t records = 1) override;
+                                          std::size_t records = 1);
+
+  // Checker hook: called for every commit submitted with a completion tag,
+  // once right after its job ran (`completed` false) and once when its
+  // completion fires, just before the owner's on_timer(tag) (`completed`
+  // true).  Observing adds no events, so journals are unchanged.
+  using CommitObserver =
+      std::function<void(NodeId owner, std::uint64_t tag, bool completed)>;
+  void set_commit_observer(CommitObserver observer) {
+    commit_observer_ = std::move(observer);
+  }
 
   // Configures the log-device model for `node` (default: paper-era disk).
   void set_disk(NodeId node, DiskProfile profile);
@@ -79,6 +98,10 @@ class SimRuntime : public Runtime {
   };
 
   void schedule_arrival(NodeId from, NodeId to, Bytes wire, TimePoint arrival);
+  // set_timer, with the commit observer told just before a commit
+  // completion (`commit`) reaches on_timer.
+  TimerHandle schedule_timer(NodeId owner, Duration delay, std::uint64_t tag,
+                             bool commit);
 
   Simulator sim_;
   SimNetwork network_;
@@ -87,6 +110,7 @@ class SimRuntime : public Runtime {
   std::unordered_map<TimerHandle, TimerRecord> timers_;
   std::unordered_map<NodeId, SimDisk> disks_;
   DropFilter drop_filter_;
+  CommitObserver commit_observer_;
   std::uint64_t dropped_by_filter_ = 0;
   TimerHandle next_timer_ = 1;
   // Incremented per node at crash/restart so stale deliveries and timers

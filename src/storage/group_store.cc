@@ -78,15 +78,31 @@ Bytes GroupStore::encode_checkpoint(
   return e.take();
 }
 
+// Control-plane call: holding commit_mu_ across its syncs is the wait that
+// keeps commits out.
+// reach: waive blocking-while-locked -- the control-plane wait
 void GroupStore::create_group(const GroupMeta& meta,
-                              const std::vector<StateEntry>& initial_state) {
+                              const std::vector<StateEntry>& initial_state,
+                              bool durable) {
+  MutexLock lock(commit_mu_);
   assert(!groups_.contains(meta.id));
   groups_.emplace(meta.id, PerGroup{meta, env_->open_log(meta.id)});
   checkpoints().put(checkpoint_key(meta.id),
                     encode_checkpoint(meta, 0, initial_state));
+  if (durable) {
+    checkpoints().flush();
+    return;
+  }
+  MutexLock stage(stage_mu_);
+  ++staged_total_;  // the staged checkpoint is work for the next commit
 }
 
+// Control-plane call: holding commit_mu_ across its syncs is the wait that
+// keeps commits out.
+// reach: waive blocking-while-locked -- the control-plane wait
 void GroupStore::remove_group(GroupId id) {
+  MutexLock lock(commit_mu_);
+  drain_staged();
   groups_.erase(id);
   // Same WAL ordering rule as install_checkpoint, mirrored: the durable
   // identity (the checkpoint) must be gone BEFORE its log storage is
@@ -98,16 +114,41 @@ void GroupStore::remove_group(GroupId id) {
   env_->remove_log(id);
 }
 
-bool GroupStore::has_group(GroupId id) const { return groups_.contains(id); }
-
-void GroupStore::append_update(GroupId id, const UpdateRecord& update) {
-  auto it = groups_.find(id);
-  assert(it != groups_.end() && "append to unknown group");
-  it->second.log->append(encode_update_record(update));
+bool GroupStore::has_group(GroupId id) const {
+  MutexLock lock(commit_mu_);
+  return groups_.contains(id);
 }
 
+void GroupStore::append_update(GroupId id, const UpdateRecord& update) {
+  Bytes record = encode_update_record(update);
+  MutexLock lock(stage_mu_);
+  staged_.push_back(Staged{id, std::move(record)});
+  ++staged_total_;
+}
+
+std::uint64_t GroupStore::drain_staged() {
+  std::vector<Staged> batch;
+  std::uint64_t total = 0;
+  {
+    MutexLock lock(stage_mu_);
+    batch.swap(staged_);
+    total = staged_total_;
+  }
+  for (Staged& s : batch) {
+    auto it = groups_.find(s.group);
+    assert(it != groups_.end() && "append to unknown group");
+    it->second.log->append(std::move(s.record));
+  }
+  return total;
+}
+
+// Control-plane call: holding commit_mu_ across its syncs is the wait that
+// keeps commits out.
+// reach: waive blocking-while-locked -- the control-plane wait
 void GroupStore::install_checkpoint(GroupId id, SeqNo base_seq,
                                     const std::vector<StateEntry>& snapshot) {
+  MutexLock lock(commit_mu_);
+  drain_staged();
   auto it = groups_.find(id);
   assert(it != groups_.end());
   checkpoints().put(checkpoint_key(id),
@@ -129,14 +170,47 @@ void GroupStore::install_checkpoint(GroupId id, SeqNo base_seq,
   log.drop_prefix(covered);
 }
 
-std::size_t GroupStore::flush() {
-  checkpoints().flush();
-  std::size_t committed = 0;
-  for (auto& [id, g] : groups_) committed += g.log->flush();
-  return committed;
+// Builds the job on the loop; its body runs under Runtime::submit_commit,
+// on SocketRuntime's commit thread.
+// reach: waive blocking-in-loop-context -- the job runs off the loop
+CommitJob GroupStore::commit_job() {
+  std::uint64_t ticket = 0;
+  {
+    MutexLock lock(stage_mu_);
+    ticket = staged_total_;
+  }
+  return [this, ticket] { return commit(ticket); };
 }
 
+// commit_mu_ is held across the syncs on purpose: it is what makes
+// control-plane calls wait for the commit.
+// reach: waive blocking-while-locked -- the commit holds commit_mu_
+CommitResult GroupStore::commit(std::uint64_t ticket) {
+  MutexLock lock(commit_mu_);
+  // An earlier commit already made everything up to `ticket` durable: the
+  // caller may complete at once, without waiting on newer records.
+  if (ticket <= committed_total_) return {};
+  const std::uint64_t total = drain_staged();
+  CommitResult r;
+  for (const auto& [id, g] : groups_) r.bytes += g.log->pending_bytes();
+  checkpoints().flush();
+  for (auto& [id, g] : groups_) r.records += g.log->flush();
+  committed_total_ = total;
+  return r;
+}
+
+std::size_t GroupStore::flush() { return commit(UINT64_MAX).records; }
+
+// Control-plane call: holding commit_mu_ across its syncs is the wait that
+// keeps commits out.
+// reach: waive blocking-while-locked -- the control-plane wait
 void GroupStore::crash() {
+  MutexLock lock(commit_mu_);
+  {
+    MutexLock stage(stage_mu_);
+    staged_.clear();  // never reached a log: lost like the unflushed tail
+    committed_total_ = staged_total_;
+  }
   checkpoints().crash();
   for (auto& [id, g] : groups_) g.log->crash();
   // Groups created but never flushed vanish entirely.
@@ -153,6 +227,7 @@ void GroupStore::crash() {
 }
 
 std::vector<RecoveredGroup> GroupStore::recover() const {
+  MutexLock lock(commit_mu_);
   std::vector<RecoveredGroup> out;
   for (const std::string& key : checkpoints().durable_keys()) {
     const auto blob = checkpoints().get_durable(key);
@@ -187,26 +262,27 @@ std::vector<RecoveredGroup> GroupStore::recover() const {
   return out;
 }
 
+SeqNo GroupStore::durable_head(GroupId id) const {
+  MutexLock lock(commit_mu_);
+  SeqNo head = 0;
+  if (const auto blob = checkpoints().get_durable(checkpoint_key(id))) {
+    CheckpointImage image;
+    if (decode_checkpoint_blob(*blob, &image)) head = image.base_seq;
+  }
+  auto it = groups_.find(id);
+  if (it == groups_.end()) return head;
+  const LogBackend& log = *it->second.log;
+  if (log.durable_size() == 0) return head;
+  auto rec = decode_update_record(log.record(log.durable_size() - 1));
+  return rec.is_ok() ? std::max(head, rec.value().seq) : head;
+}
+
 std::uint64_t GroupStore::pending_bytes() const {
+  MutexLock lock(commit_mu_);
   std::uint64_t b = 0;
   for (const auto& [id, g] : groups_) b += g.log->pending_bytes();
-  return b;
-}
-
-std::size_t GroupStore::pending_records() const {
-  std::size_t n = 0;
-  for (const auto& [id, g] : groups_) n += g.log->unflushed();
-  return n;
-}
-
-std::uint64_t GroupStore::log_records(GroupId id) const {
-  auto it = groups_.find(id);
-  return it != groups_.end() ? it->second.log->size() : 0;
-}
-
-std::uint64_t GroupStore::log_bytes() const {
-  std::uint64_t b = 0;
-  for (const auto& [id, g] : groups_) b += g.log->bytes_appended();
+  MutexLock stage(stage_mu_);
+  for (const Staged& s : staged_) b += s.record.size();
   return b;
 }
 

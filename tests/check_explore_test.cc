@@ -176,6 +176,27 @@ TEST(CheckExplore, SeededBatchTailDropIsCaught) {
   EXPECT_EQ(first.deliveries, second.deliveries);
 }
 
+// Durable-before-ack: a server that fans out at commit submission instead
+// of completion is caught, and the violating schedule replays identically.
+TEST(CheckExplore, SeededCommitBugIsCaught) {
+  WorldOptions world;
+  world.seed_commit_bug = true;
+  ExplorerOptions options;
+  options.max_decisions = 30;
+  options.max_schedules = 2000;
+  Explorer explorer(world, options);
+  const auto result = explorer.explore();
+  ASSERT_TRUE(result.found) << "bounded search missed the planted commit bug";
+  EXPECT_NE(result.report.find("durability violation"), std::string::npos)
+      << result.report;
+  const RunResult first = explorer.run_one(result.trace);
+  const RunResult second = explorer.run_one(result.trace);
+  EXPECT_TRUE(first.violated);
+  EXPECT_EQ(first.report, second.report);
+  EXPECT_EQ(first.steps, second.steps);
+  EXPECT_EQ(first.deliveries, second.deliveries);
+}
+
 // Fault injection actually runs: the bounded DFS reaches schedules that
 // spend the crash and partition budgets, and those runs stay quiet too —
 // crash recovery (restart + rejoin + resend) and partition healing keep the

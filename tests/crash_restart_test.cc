@@ -13,17 +13,28 @@
 // This is the process-level half of the recovery gate; the in-process
 // randomized crash-point equivalence property lives in disk_storage_test.cc
 // and the daemon-level loopback resync scenario in the CI crash-restart job.
+// The last case runs the same property through the served path: a forked
+// CoronaServer on SocketRuntime with --sync semantics, whose commits run on
+// the runtime's commit thread, killed under live client traffic.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <functional>
+#include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/client.h"
+#include "core/server.h"
+#include "net/socket_runtime.h"
 #include "storage/disk/disk_env.h"
 #include "storage/disk/disk_format.h"
 #include "storage/disk/disk_io.h"
@@ -225,6 +236,154 @@ TEST(CrashRestart, RecoveryComposesAcrossTwoKills) {
   }
   EXPECT_GE(expect - 1, resume_floor);
   disk::remove_tree(root);
+}
+
+// -- the served path -----------------------------------------------------
+
+constexpr NodeId kServerNode{1};
+constexpr NodeId kClientNode{100};
+
+// The victim: a --sync server on a real socket whose log commits run on the
+// runtime's commit thread.  It publishes its port, then serves until killed.
+[[noreturn]] void run_sync_server(const std::string& data_dir,
+                                  const std::string& port_path) {
+  ::alarm(30);  // backstop: never outlive a parent that failed to kill us
+  disk::DiskEnv env(disk::DiskEnvConfig{data_dir, kSegmentBytes});
+  GroupStore store(&env);
+  ServerConfig cfg;
+  cfg.flush = FlushPolicy::kSync;
+  CoronaServer server(cfg, &store);
+  net::SocketRuntime rt;
+  rt.add_node(kServerNode, &server);
+  const auto port = rt.listen("127.0.0.1", 0);
+  if (!port.is_ok()) ::_exit(2);
+  rt.start();
+  disk::DiskCounters counters;
+  disk::atomic_write_file(port_path, disk::encode_log_meta(port.value()),
+                          &counters);
+  for (;;) ::pause();
+}
+
+// The client side: every sender-inclusive delivery is logged by seq.  A
+// delivery is the server's acknowledgement that the update is durable.
+struct AckLog {
+  std::mutex mu;
+  std::map<SeqNo, Bytes> delivered;
+  int replies_ok = 0;
+  bool joined = false;
+
+  std::size_t size() {
+    std::lock_guard<std::mutex> lock(mu);
+    return delivered.size();
+  }
+};
+
+bool wait_for(const std::function<bool()>& pred, int ms) {
+  for (int waited = 0; waited < ms; waited += 2) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return pred();
+}
+
+TEST(CrashRestart, SigkilledSyncServerKeepsEveryAcknowledgedUpdate) {
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    char tmpl[] = "/tmp/corona_crash_served_XXXXXX";
+    const char* root = ::mkdtemp(tmpl);
+    ASSERT_NE(root, nullptr);
+    const std::string data_dir = std::string(root) + "/data";
+    const std::string port_path = std::string(root) + "/port";
+
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) run_sync_server(data_dir, port_path);
+
+    std::uint64_t port = 0;
+    ASSERT_TRUE(wait_for([&] {
+      if (const auto buf = disk::read_file(port_path)) {
+        if (const auto decoded = disk::decode_log_meta(*buf)) port = *decoded;
+      }
+      return port != 0;
+    }, 10000)) << "server never published its port";
+
+    AckLog acks;
+    CoronaClient::Callbacks cb;
+    cb.on_deliver = [&acks](GroupId, const UpdateRecord& rec) {
+      std::lock_guard<std::mutex> lock(acks.mu);
+      acks.delivered.emplace(rec.seq, rec.data);
+    };
+    cb.on_reply = [&acks](RequestId, Status s) {
+      std::lock_guard<std::mutex> lock(acks.mu);
+      if (s.is_ok()) ++acks.replies_ok;
+    };
+    cb.on_joined = [&acks](GroupId, Status s) {
+      std::lock_guard<std::mutex> lock(acks.mu);
+      acks.joined = s.is_ok();
+    };
+    net::SocketRuntime client_rt;
+    CoronaClient client(kServerNode, cb);
+    client_rt.add_node(kClientNode, &client);
+    client_rt.set_peer_address(
+        kServerNode, net::Endpoint{"127.0.0.1", static_cast<std::uint16_t>(port)});
+    client_rt.start();
+
+    client.create_group(kGroup, "served", true);
+    ASSERT_TRUE(wait_for([&] {
+      std::lock_guard<std::mutex> lock(acks.mu);
+      return acks.replies_ok >= 1;
+    }, 10000));
+    client.join(kGroup);
+    ASSERT_TRUE(wait_for([&] {
+      std::lock_guard<std::mutex> lock(acks.mu);
+      return acks.joined;
+    }, 10000));
+
+    // Keep a window of multicasts outstanding so commits are in flight
+    // almost all the time, and kill at a seeded moment.
+    Rng rng(0x5eedULL + static_cast<std::uint64_t>(round));
+    const auto start = std::chrono::steady_clock::now();
+    const auto kill_at =
+        start + std::chrono::milliseconds(5 + rng.next_below(60));
+    const auto give_up = start + std::chrono::seconds(10);
+    std::size_t sent = 0;
+    for (auto now = start; now < kill_at || (acks.size() == 0 && now < give_up);
+         now = std::chrono::steady_clock::now()) {
+      if (sent - acks.size() < 16) {
+        ++sent;
+        client.bcast_update(kGroup, ObjectId{sent % 3}, payload_for(sent));
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    client_rt.stop();
+
+    disk::DiskEnv env(disk::DiskEnvConfig{data_dir, kSegmentBytes});
+    GroupStore gs(&env);
+    const std::vector<RecoveredGroup> groups = gs.recover();
+    ASSERT_EQ(groups.size(), 1u);
+    const RecoveredGroup& g = groups[0];
+    std::map<SeqNo, const Bytes*> recovered;
+    SeqNo expect = g.base_seq + 1;
+    for (const UpdateRecord& u : g.updates) {
+      ASSERT_EQ(u.seq, expect) << "gap or duplicate in recovered sequence";
+      recovered.emplace(u.seq, &u.data);
+      ++expect;
+    }
+    std::lock_guard<std::mutex> lock(acks.mu);
+    ASSERT_FALSE(acks.delivered.empty());
+    for (const auto& [seq, data] : acks.delivered) {
+      const auto it = recovered.find(seq);
+      ASSERT_NE(it, recovered.end())
+          << "acknowledged seq " << seq << " lost across SIGKILL";
+      ASSERT_EQ(*it->second, data) << "payload altered by recovery";
+    }
+    disk::remove_tree(root);
+  }
 }
 
 }  // namespace

@@ -6,17 +6,24 @@
 // dropped-and-reconnected client resyncing via retransmission, and leave.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/client.h"
+#include "core/log_reduction.h"
 #include "core/server.h"
 #include "core/stateless_server.h"
 #include "net/socket_runtime.h"
+#include "storage/disk/disk_env.h"
+#include "storage/disk/disk_io.h"
 
 namespace corona::net {
 namespace {
@@ -46,7 +53,7 @@ struct ClientProc {
                       int first_deliver_stall_ms = 0)
       : rt(cfg), id(id) {
     CoronaClient::Callbacks cb;
-    cb.on_deliver = [this, first_deliver_stall_ms](GroupId,
+    cb.on_deliver = [this, first_deliver_stall_ms](GroupId g,
                                                    const UpdateRecord& rec) {
       // A positive stall blocks this client's event loop on its first
       // delivery.  While it sleeps nothing is read, so the kernel buffers
@@ -59,6 +66,7 @@ struct ClientProc {
       }
       std::lock_guard<std::mutex> lock(mu);
       journal.push_back(rec.seq);
+      by_group[g].push_back(rec.seq);
     };
     cb.on_joined = [this](GroupId, Status s) {
       std::lock_guard<std::mutex> lock(mu);
@@ -87,6 +95,10 @@ struct ClientProc {
     std::lock_guard<std::mutex> lock(mu);
     return journal;
   }
+  std::vector<SeqNo> group_journal(GroupId g) {
+    std::lock_guard<std::mutex> lock(mu);
+    return by_group[g];
+  }
   void clear_journal() {
     std::lock_guard<std::mutex> lock(mu);
     journal.clear();
@@ -110,6 +122,7 @@ struct ClientProc {
 
   std::mutex mu;
   std::vector<SeqNo> journal;
+  std::map<GroupId, std::vector<SeqNo>> by_group;
   bool stalled = false;  // loop-thread only
   int joins_ok = 0;
   int lock_grants = 0;
@@ -595,6 +608,198 @@ TEST(SocketLoopback, WriteBackpressureDrainsViaEpollout) {
   EXPECT_TRUE(wait_until([&] { return sender.journal_size() >= kBurst; }));
   EXPECT_EQ(server_rt.stats().messages_dropped, 0u);
   server_rt.stop();  // the loop reads `store`, which dies before server_rt
+}
+
+namespace sync_commit {
+
+// Holds the commit thread inside a log flush on demand, so a test can call
+// stop() with a commit provably in flight.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = false;
+  bool entered = false;
+  bool open = false;
+
+  void pass() {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!armed) return;
+    armed = false;
+    entered = true;
+    cv.notify_all();
+    cv.wait(lock, [this] { return open; });
+  }
+  void arm() {
+    std::lock_guard<std::mutex> lock(mu);
+    armed = true;
+  }
+  bool wait_entered() {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(30),
+                       [this] { return entered; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+    cv.notify_all();
+  }
+};
+
+class GateLog final : public LogBackend {
+ public:
+  GateLog(std::unique_ptr<LogBackend> inner, Gate* gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+  void append(Bytes record) override { inner_->append(std::move(record)); }
+  std::size_t flush() override {
+    if (inner_->unflushed() > 0) gate_->pass();
+    return inner_->flush();
+  }
+  void crash() override { inner_->crash(); }
+  void drop_prefix(std::size_t n) override { inner_->drop_prefix(n); }
+  std::size_t size() const override { return inner_->size(); }
+  std::size_t durable_size() const override { return inner_->durable_size(); }
+  std::size_t unflushed() const override { return inner_->unflushed(); }
+  const Bytes& record(std::size_t i) const override {
+    return inner_->record(i);
+  }
+  std::uint64_t bytes_appended() const override {
+    return inner_->bytes_appended();
+  }
+  std::uint64_t bytes_flushed() const override {
+    return inner_->bytes_flushed();
+  }
+  std::uint64_t pending_bytes() const override {
+    return inner_->pending_bytes();
+  }
+  std::uint64_t commits() const override { return inner_->commits(); }
+  std::uint64_t records_flushed() const override {
+    return inner_->records_flushed();
+  }
+  std::size_t max_commit_records() const override {
+    return inner_->max_commit_records();
+  }
+
+ private:
+  std::unique_ptr<LogBackend> inner_;
+  Gate* gate_;
+};
+
+class GateEnv final : public StorageEnv {
+ public:
+  GateEnv(StorageEnv* inner, Gate* gate) : inner_(inner), gate_(gate) {}
+  std::unique_ptr<LogBackend> open_log(GroupId id) override {
+    return std::make_unique<GateLog>(inner_->open_log(id), gate_);
+  }
+  void remove_log(GroupId id) override { inner_->remove_log(id); }
+  std::vector<GroupId> list_logs() const override {
+    return inner_->list_logs();
+  }
+  CheckpointBackend& checkpoints() override { return inner_->checkpoints(); }
+  const CheckpointBackend& checkpoints() const override {
+    return static_cast<const StorageEnv*>(inner_)->checkpoints();
+  }
+
+ private:
+  StorageEnv* inner_;
+  Gate* gate_;
+};
+
+bool contiguous_from_one(const std::vector<SeqNo>& seqs) {
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    if (seqs[i] != i + 1) return false;
+  }
+  return true;
+}
+
+}  // namespace sync_commit
+
+// --sync over real TCP with the commit pipeline: acknowledged multicasts to
+// two groups on a DiskEnv while a count-threshold checkpoint install and a
+// group delete (control-plane calls that wait out the running commit) race
+// the commit thread, then stop() with a commit parked mid-flush and the
+// daemon's shutdown order (rt.stop(), then the store's final flush).
+TEST(SocketLoopback, SyncCommitsRunOffLoopBesideControlPlane) {
+  using namespace sync_commit;
+  char tmpl[] = "/tmp/corona_sync_commit_XXXXXX";
+  const char* root = ::mkdtemp(tmpl);
+  ASSERT_NE(root, nullptr);
+  const GroupId kA{1}, kB{2}, kC{3};
+  constexpr int kPerGroup = 30;
+  {
+    disk::DiskEnv disk(disk::DiskEnvConfig{std::string(root) + "/data", 4096});
+    Gate gate;
+    GateEnv env(&disk, &gate);
+    GroupStore store(&env);
+    ServerConfig cfg;
+    cfg.flush = FlushPolicy::kSync;
+    cfg.reduction_factory = [] { return make_count_threshold(8); };
+    SocketRuntime server_rt;
+    CoronaServer server(cfg, &store);
+    server_rt.add_node(kServerId, &server);
+    auto port = server_rt.listen("127.0.0.1", 0);
+    ASSERT_TRUE(port.is_ok());
+    server_rt.start();
+
+    ClientProc c0(NodeId{100}, port.value());
+    ClientProc c1(NodeId{101}, port.value());
+    for (GroupId g : {kA, kB, kC}) c0.client->create_group(g, "g", true);
+    ASSERT_TRUE(wait_until([&] { return c0.replies() >= 3; }));
+    for (GroupId g : {kA, kB, kC}) c0.client->join(g);
+    c1.client->join(kA);
+    c1.client->join(kB);
+    ASSERT_TRUE(wait_until([&] { return c0.joins() == 3 && c1.joins() == 2; }));
+
+    for (int i = 0; i < kPerGroup; ++i) {
+      c0.client->bcast_update(kA, kObj, to_bytes("a" + std::to_string(i)));
+      c1.client->bcast_update(kB, kObj, to_bytes("b" + std::to_string(i)));
+      c0.client->bcast_update(kC, kObj, to_bytes("c"));
+      if (i == kPerGroup / 2) c0.client->delete_group(kC);
+    }
+    const auto all_in = [&] {
+      return c0.group_journal(kA).size() >= kPerGroup &&
+             c0.group_journal(kB).size() >= kPerGroup &&
+             c1.group_journal(kA).size() >= kPerGroup &&
+             c1.group_journal(kB).size() >= kPerGroup;
+    };
+    ASSERT_TRUE(wait_until(all_in));
+    for (GroupId g : {kA, kB}) {
+      const auto j0 = c0.group_journal(g);
+      EXPECT_EQ(j0.size(), static_cast<std::size_t>(kPerGroup));
+      EXPECT_TRUE(contiguous_from_one(j0)) << "gap in group " << g.value;
+      EXPECT_EQ(j0, c1.group_journal(g)) << "clients diverged";
+    }
+
+    // Park the commit thread inside the next commit, then stop the server
+    // runtime under it.  stop() returns only after the commit finished and
+    // the commit thread is joined, so the final flush runs alone.
+    gate.arm();
+    for (int i = 0; i < 5; ++i) {
+      c0.client->bcast_update(kA, kObj, to_bytes("tail"));
+    }
+    ASSERT_TRUE(gate.wait_entered()) << "no commit reached the log";
+    std::thread releaser([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      gate.release();
+    });
+    server_rt.stop();
+    releaser.join();
+    (void)store.flush();
+
+    const std::vector<RecoveredGroup> groups = store.recover();
+    ASSERT_EQ(groups.size(), 2u) << "the deleted group must stay gone";
+    for (const RecoveredGroup& g : groups) {
+      SeqNo expect = g.base_seq + 1;
+      for (const UpdateRecord& u : g.updates) {
+        ASSERT_EQ(u.seq, expect) << "gap in the durable log";
+        ++expect;
+      }
+      EXPECT_GE(expect - 1, static_cast<SeqNo>(kPerGroup));
+      EXPECT_EQ(store.durable_head(g.meta.id), expect - 1);
+    }
+    c1.rt.stop();
+    c0.rt.stop();
+  }
+  disk::remove_tree(root);
 }
 
 }  // namespace

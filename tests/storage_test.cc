@@ -201,6 +201,50 @@ TEST(GroupStore, TransientGroupsAlsoPersistUntilRemoved) {
   EXPECT_FALSE(recovered[0].meta.persistent);
 }
 
+TEST(GroupStore, CommitJobTakesEverythingStagedAndLaterJobsSyncNothing) {
+  GroupStore gs;
+  gs.create_group(GroupMeta{GroupId{1}, "a", true}, {}, /*durable=*/true);
+  gs.create_group(GroupMeta{GroupId{2}, "b", true}, {}, /*durable=*/true);
+  gs.append_update(GroupId{1}, mk_update(1, ObjectId{1}, "a1"));
+  const CommitJob first = gs.commit_job();
+  gs.append_update(GroupId{2}, mk_update(1, ObjectId{1}, "b1"));
+  const CommitJob second = gs.commit_job();
+  // The first job to run takes both records, staged before it started...
+  const CommitResult r = first();
+  EXPECT_EQ(r.records, 2u);
+  EXPECT_GT(r.bytes, 0u);
+  // ...so the second, whose record it covered, completes without a sync.
+  const CommitResult again = second();
+  EXPECT_EQ(again.records, 0u);
+  EXPECT_EQ(again.bytes, 0u);
+  const auto recovered = gs.recover();
+  ASSERT_EQ(recovered.size(), 2u);
+  EXPECT_EQ(recovered[0].updates.size(), 1u);
+  EXPECT_EQ(recovered[1].updates.size(), 1u);
+  EXPECT_EQ(gs.durable_head(GroupId{1}), 1u);
+}
+
+TEST(GroupStore, ControlPlaneDrainsStagedRecordsBeforeCheckpointing) {
+  GroupStore gs;
+  gs.create_group(GroupMeta{GroupId{1}, "g", true}, {});
+  const CommitJob job = gs.commit_job();  // covers the staged checkpoint
+  for (SeqNo s = 1; s <= 4; ++s) {
+    gs.append_update(GroupId{1}, mk_update(s, ObjectId{1}, "x"));
+  }
+  // The checkpoint install sees the staged records in the log and drops
+  // the covered prefix; the pending commit still syncs the rest.
+  gs.install_checkpoint(GroupId{1}, 2,
+                        {StateEntry{ObjectId{1}, to_bytes("xx")}});
+  EXPECT_EQ(gs.durable_head(GroupId{1}), 2u);
+  EXPECT_EQ(job().records, 2u);
+  EXPECT_EQ(gs.durable_head(GroupId{1}), 4u);
+  const auto recovered = gs.recover();
+  ASSERT_EQ(recovered.size(), 1u);
+  EXPECT_EQ(recovered[0].base_seq, 2u);
+  ASSERT_EQ(recovered[0].updates.size(), 2u);
+  EXPECT_EQ(recovered[0].updates[0].seq, 3u);
+}
+
 TEST(GroupStore, PendingBytesAggregatesAcrossGroups) {
   GroupStore gs;
   gs.create_group(GroupMeta{GroupId{1}, "a", true}, {});

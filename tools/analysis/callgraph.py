@@ -322,6 +322,7 @@ class _FileScanner:
         self.held = []           # (var or None, depth, expr)
         self.inactive = {}       # var -> (depth, expr)
         self.prev_waive = frozenset()
+        self.stmt_waive = frozenset()  # waivers seen while self.stmt grew
 
     # -- helpers ------------------------------------------------------------
 
@@ -530,15 +531,19 @@ class _FileScanner:
                     segment = code[seg_start:pos]
                     if self.fn is not None:
                         self._scan_body_segment(segment, lineno, waive)
+                    # A waiver above a declaration or definition whose
+                    # header wraps onto several lines covers all of them.
+                    head_waive = waive | self.stmt_waive
                     if ch == ";":
                         if self.fn is None:
-                            self._record_decl(self.stmt + segment, waive)
+                            self._record_decl(self.stmt + segment,
+                                              head_waive)
                         self.stmt = ""
                     elif ch == "{":
                         header = self.stmt + segment
                         if self.fn is None:
                             if not self._open_function(header, lineno,
-                                                       waive):
+                                                       head_waive):
                                 pass
                         self.stmt = ""
                         self.depth += 1
@@ -560,12 +565,15 @@ class _FileScanner:
                             self.held = []
                             self.inactive = {}
                         self.stmt = ""
+                    if not self.stmt:
+                        self.stmt_waive = frozenset()
                     seg_start = pos + 1
             tail = code[seg_start:]
             if tail.strip():
                 if self.fn is not None:
                     self._scan_body_segment(tail, lineno, waive)
                 self.stmt += tail + " "
+                self.stmt_waive |= waive
 
 
 def build_graph_textual(files: list, cfg: CallgraphConfig) -> Graph:
