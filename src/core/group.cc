@@ -3,7 +3,23 @@
 namespace corona {
 
 bool Group::add_member(NodeId node, MemberRole role, bool wants_notices) {
-  return members_.emplace(node, Member{role, wants_notices}).second;
+  return members_.emplace(node, Member{role, wants_notices, NodeId{}}).second;
+}
+
+void Group::sequence(UpdateRecord& rec) {
+  rec.seq = allocate_seq();
+  mark_seen(rec.sender, rec.request_id);
+  state_.apply(rec);
+}
+
+void Group::rebuild(SeqNo base_seq, const std::vector<StateEntry>& snapshot,
+                    const std::vector<UpdateRecord>& updates) {
+  state_.load(base_seq, snapshot);
+  for (const UpdateRecord& u : updates) {
+    state_.apply(u);
+    mark_seen(u.sender, u.request_id);
+  }
+  next_seq_ = state_.head_seq() + 1;
 }
 
 bool Group::remove_member(NodeId node) { return members_.erase(node) > 0; }
@@ -29,9 +45,17 @@ InvariantReport Group::check_invariants() const {
   InvariantReport rep;
   rep.merge(state_.check_invariants());
   rep.merge(locks_.check_invariants());
-  if (state_.head_seq() >= next_seq_) {
-    rep.fail("Group: head_seq " + std::to_string(state_.head_seq()) +
-             " >= next_seq " + std::to_string(next_seq_));
+  if (next_seq_ != state_.head_seq() + 1) {
+    rep.fail("Group: next_seq " + std::to_string(next_seq_) +
+             " != head_seq+1 " + std::to_string(state_.head_seq() + 1));
+  }
+  SeqNo expect = state_.base_seq();
+  for (const UpdateRecord& r : state_.history()) {
+    if (r.seq != ++expect) {
+      rep.fail("Group: history gap — expected seq " + std::to_string(expect) +
+               ", found " + std::to_string(r.seq));
+      expect = r.seq;
+    }
   }
   for (const auto& [obj, node] : locks_.all_holders()) {
     if (!is_member(node)) {

@@ -5,6 +5,11 @@
 // sequencer for the group's total order, the lock table, and the dedup set
 // used by crash recovery (one (sender, request-id) pair per sequenced
 // message, so resent updates are sequenced at most once).
+//
+// It is the one sequencing core of the service: the single server
+// (CoronaServer) and the replicated coordinator (ReplicaServer) both keep a
+// Group per group, sequence through sequence() and rebuild through
+// rebuild(); each logs to its own store.
 #pragma once
 
 #include <map>
@@ -23,6 +28,9 @@ namespace corona {
 struct Member {
   MemberRole role = MemberRole::kPrincipal;
   bool wants_membership_notices = false;
+  // The leaf server the member connects through (replicated coordinator
+  // only; the single server leaves it unset).
+  NodeId leaf;
 };
 
 class Group {
@@ -40,6 +48,9 @@ class Group {
   // -- membership ----------------------------------------------------------
   // Returns false if already a member.
   bool add_member(NodeId node, MemberRole role, bool wants_notices);
+  // Adds `node` or replaces its entry (the coordinator's join: a silent
+  // re-registration after a takeover moves the member to its new leaf).
+  void set_member(NodeId node, Member m) { members_.insert_or_assign(node, m); }
   // Returns false if not a member.
   bool remove_member(NodeId node);
   bool is_member(NodeId node) const { return members_.contains(node); }
@@ -58,6 +69,16 @@ class Group {
   SeqNo next_seq() const { return next_seq_; }
   void set_next_seq(SeqNo s) { next_seq_ = s; }
 
+  // Sequences `rec` into the total order: stamps the next seq, marks
+  // (sender, rid) seen and applies it to the state.  The caller logs it.
+  CORONA_HOT_PATH void sequence(UpdateRecord& rec);
+
+  // Reloads the state as `snapshot` at `base_seq` plus `updates` applied in
+  // order (recovery, takeover, reconciliation), marks each update seen and
+  // continues the sequence at head_seq+1.  Earlier dedup marks are kept.
+  void rebuild(SeqNo base_seq, const std::vector<StateEntry>& snapshot,
+               const std::vector<UpdateRecord>& updates);
+
   // -- recovery dedup ---------------------------------------------------------
   // Marks (sender, rid) as sequenced; returns false if it already was.
   bool mark_seen(NodeId sender, RequestId rid) {
@@ -67,9 +88,12 @@ class Group {
     return seen_.contains({sender.value, rid});
   }
 
-  // Structural invariants: every applied seq precedes next_seq_; every lock
-  // holder and waiter is a current member (drop_member on leave/crash must
-  // keep this); plus the nested SharedState and LockTable invariants.
+  // Sequencer invariants: the next sequence number to hand out is exactly
+  // head_seq+1 (the sequencer never skips or reuses a number), the retained
+  // history has no gaps (every sequenced record is applied, unlike client
+  // copies, which may hold object-filtered tails), and every lock holder
+  // and waiter is a current member (drop_member on leave/crash must keep
+  // this); plus the nested SharedState and LockTable invariants.
   InvariantReport check_invariants() const;
 
  private:

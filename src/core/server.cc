@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <set>
 
 #include "util/invariant.h"
@@ -13,7 +12,9 @@ namespace corona {
 CoronaServer::CoronaServer(ServerConfig config, GroupStore* store,
                            SessionManager* session_manager)
     : config_(std::move(config)), store_(store), session_(session_manager),
-      qos_(config_.qos) {
+      qos_(config_.qos),
+      batch_trigger_(config_.batch_max_msgs, config_.batch_max_delay,
+                     kBatchTimer) {
   if (store_ == nullptr) {
     owned_store_ = std::make_unique<GroupStore>();
     store_ = owned_store_.get();
@@ -30,10 +31,8 @@ CoronaServer::CoronaServer(ServerConfig config, GroupStore* store,
 CoronaServer::~CoronaServer() = default;
 
 void CoronaServer::on_start() {
-  if (config_.stateful) {
-    recover_from_store();
-    if (config_.flush == FlushPolicy::kAsync) schedule_flush();
-  }
+  recover_from_store();
+  if (config_.flush == FlushPolicy::kAsync) schedule_flush();
   if (config_.client_timeout > 0) {
     set_timer(config_.client_timeout / 2, kLivenessTimer);
   }
@@ -42,20 +41,14 @@ void CoronaServer::on_start() {
 void CoronaServer::recover_from_store() {
   for (RecoveredGroup& rg : store_->recover()) {
     Group group(rg.meta);
-    group.state().load(rg.base_seq, rg.snapshot);
-    SeqNo head = rg.base_seq;
-    for (const UpdateRecord& u : rg.updates) {
-      group.state().apply(u);
-      group.mark_seen(u.sender, u.request_id);
-      head = u.seq;
-    }
-    group.set_next_seq(head + 1);
+    group.rebuild(rg.base_seq, rg.snapshot, rg.updates);
     CORONA_CHECK_INVARIANTS(group);
     const GroupId id = rg.meta.id;
     groups_.erase(id);
     groups_.emplace(id, std::move(group));
     reduction_[id] = config_.reduction_factory();
-    LOG_INFO("server", "recovered ", id, " head=", head,
+    LOG_INFO("server", "recovered ", id,
+             " head=", groups_.at(id).state().head_seq(),
              " objects=", groups_.at(id).state().object_count());
   }
 }
@@ -128,7 +121,7 @@ void CoronaServer::on_timer(std::uint64_t tag) {
     return;
   }
   if (tag == kBatchTimer) {
-    batch_timer_ = 0;
+    batch_trigger_.timer_fired();
     drain_batch();
     return;
   }
@@ -214,14 +207,12 @@ void CoronaServer::handle_create(NodeId from, const Message& m) {
   group.state().load(0, m.state);
   groups_.emplace(m.group, std::move(group));
   reduction_[m.group] = config_.reduction_factory();
-  if (config_.stateful) {
-    // Under kSync the reply waits for the checkpoint to be durable: the
-    // store syncs it before returning, like a group removal, and the sync
-    // counts as a flush.
-    const bool sync = config_.flush == FlushPolicy::kSync;
-    store_->create_group(meta, m.state, /*durable=*/sync);
-    if (sync) ++stats_.flushes;
-  }
+  // Under kSync the reply waits for the checkpoint to be durable: the store
+  // syncs it before returning, like a group removal, and the sync counts as
+  // a flush.
+  const bool sync = config_.flush == FlushPolicy::kSync;
+  store_->create_group(meta, m.state, /*durable=*/sync);
+  if (sync) ++stats_.flushes;
   send(from, make_reply(Status::ok(), m.request_id));
 }
 
@@ -244,7 +235,7 @@ void CoronaServer::handle_delete(NodeId from, const Message& m) {
   }
   groups_.erase(m.group);
   reduction_.erase(m.group);
-  if (config_.stateful) store_->remove_group(m.group);
+  store_->remove_group(m.group);
   send(from, make_reply(Status::ok(), m.request_id));
 }
 
@@ -276,7 +267,7 @@ void CoronaServer::handle_join(NodeId from, const Message& m) {
   // Peer-transfer baseline (§2's ISIS-style join): fetch the state from an
   // existing member instead of the service copy.  Membership is finalized
   // when the transfer completes; the reply is deferred.
-  if (config_.stateful && config_.join_transfer == JoinTransferMode::kPeer &&
+  if (config_.join_transfer == JoinTransferMode::kPeer &&
       group->member_count() > 1) {
     group->remove_member(from);  // re-added when the transfer lands
     begin_peer_transfer(*group, from, m);
@@ -285,18 +276,14 @@ void CoronaServer::handle_join(NodeId from, const Message& m) {
 
   // Customized state transfer (§3.2).  The join involves no existing member:
   // everything comes from the server's copy of the shared state.
-  if (config_.stateful) {
-    TransferContent t = build_transfer(group->state(), m.policy);
-    reply.seq = t.base_seq;
-    reply.state = std::move(t.snapshot);
-    reply.updates = std::move(t.updates);
-    std::size_t bytes = 0;
-    for (const StateEntry& s : reply.state) bytes += s.data.size();
-    for (const UpdateRecord& u : reply.updates) bytes += u.data.size();
-    stats_.transfer_bytes += bytes;
-  } else {
-    reply.seq = group->next_seq() - 1;
-  }
+  TransferContent t = build_transfer(group->state(), m.policy);
+  reply.seq = t.base_seq;
+  reply.state = std::move(t.snapshot);
+  reply.updates = std::move(t.updates);
+  std::size_t bytes = 0;
+  for (const StateEntry& s : reply.state) bytes += s.data.size();
+  for (const UpdateRecord& u : reply.updates) bytes += u.data.size();
+  stats_.transfer_bytes += bytes;
   reply.members = group->member_list();
   ++stats_.joins_served;
   if (config_.client_timeout > 0) client_last_heard_[from] = now();
@@ -430,7 +417,7 @@ void CoronaServer::handle_leave(NodeId from, const Message& m) {
   if (group->member_count() == 0 && !group->persistent()) {
     groups_.erase(m.group);
     reduction_.erase(m.group);
-    if (config_.stateful) store_->remove_group(m.group);
+    store_->remove_group(m.group);
   }
 
   // Stop liveness tracking once the client belongs to no group.
@@ -514,27 +501,17 @@ void CoronaServer::handle_bcast(NodeId from, const Message& m) {
 }
 
 void CoronaServer::sequence_record(Group& group, UpdateRecord& rec) {
-  rec.seq = group.allocate_seq();
-  group.mark_seen(rec.sender, rec.request_id);
   ++stats_.messages_sequenced;
-
-  if (config_.stateful) {
-    // State maintenance: constant + linear-in-payload CPU, the overhead the
-    // Figure 3 comparison isolates.
-    rt().charge_cpu(id(), config_.state_cpu_per_msg +
-                              static_cast<Duration>(std::llround(
-                                  config_.state_cpu_per_byte *
-                                  static_cast<double>(rec.data.size()))));
-    group.state().apply(rec);
-    store_->append_update(group.meta().id, rec);
-  }
+  rt().charge_cpu(id(), state_cpu_cost(rec.data.size()));
+  group.sequence(rec);
+  store_->append_update(group.meta().id, rec);
 }
 
 void CoronaServer::sequence_and_deliver(Group& group, UpdateRecord rec,
                                         bool sender_inclusive, NodeId sender) {
   sequence_record(group, rec);
 
-  if (config_.stateful && config_.flush == FlushPolicy::kSync) {
+  if (config_.flush == FlushPolicy::kSync) {
     const std::uint64_t token = next_pending_++;
     if (!config_.debug_ack_before_commit) {
       // Hold the delivery (the sender's ack included) until the commit
@@ -551,26 +528,17 @@ void CoronaServer::sequence_and_deliver(Group& group, UpdateRecord rec,
   }
 
   deliver_to_members(group, rec, sender_inclusive, sender);
-  if (config_.stateful) maybe_reduce(group);
+  maybe_reduce(group);
   CORONA_CHECK_INVARIANTS(group);
 }
 
 void CoronaServer::enqueue_batch(PendingDelivery p) {
   batch_queue_.push_back(std::move(p));
-  if (batch_queue_.size() >= config_.batch_max_msgs) {
-    if (batch_timer_ != 0) {
-      cancel_timer(batch_timer_);
-      batch_timer_ = 0;
-    }
-    drain_batch();
-    return;
-  }
-  if (batch_timer_ == 0) {
-    batch_timer_ = set_timer(config_.batch_max_delay, kBatchTimer);
-  }
+  if (batch_trigger_.add_item(rt(), id())) drain_batch();
 }
 
 void CoronaServer::drain_batch() {
+  batch_trigger_.drained();
   if (batch_queue_.empty()) return;
   std::vector<PendingDelivery> batch = std::move(batch_queue_);
   batch_queue_.clear();
@@ -594,7 +562,7 @@ void CoronaServer::drain_batch() {
   }
   if (live.empty()) return;
 
-  if (config_.stateful && config_.flush == FlushPolicy::kSync) {
+  if (config_.flush == FlushPolicy::kSync) {
     // Group commit: ONE commit covers the entire batch; the device's fixed
     // per-op cost is paid once for the whole run.  The run is delivered
     // together when the commit completes.
@@ -614,7 +582,7 @@ void CoronaServer::drain_batch() {
   fanout_batch(live);
   for (GroupId gid : touched) {
     if (Group* g = find_group(gid)) {
-      if (config_.stateful) maybe_reduce(*g);
+      maybe_reduce(*g);
       CORONA_CHECK_INVARIANTS(*g);
     }
   }
@@ -773,10 +741,8 @@ void CoronaServer::perform_reduction(Group& group, SeqNo upto) {
   // becomes the durable checkpoint.
   const std::size_t dropped = group.state().reduce_to(upto);
   if (dropped == 0) return;
-  if (config_.stateful) {
-    store_->install_checkpoint(group.meta().id, group.state().base_seq(),
-                               group.state().snapshot_at_base());
-  }
+  store_->install_checkpoint(group.meta().id, group.state().base_seq(),
+                             group.state().snapshot_at_base());
   ++stats_.reductions;
   stats_.records_dropped_by_reduction += dropped;
 }
@@ -862,7 +828,7 @@ void CoronaServer::drop_member_everywhere(NodeId who) {
   for (GroupId gid : to_erase) {
     groups_.erase(gid);
     reduction_.erase(gid);
-    if (config_.stateful) store_->remove_group(gid);
+    store_->remove_group(gid);
   }
 }
 

@@ -9,10 +9,11 @@
 //   server-side timestamping), lock request/release, client-requested and
 //   policy-driven log reduction, gap retransmission, and recovery resends.
 //
-// Configuration covers the evaluation axes of §5: stateful vs stateless
-// operation (Figure 3), flush policy for the durable log (the §6 "logging is
-// off the critical path" claim), reduction policy, and the optional QoS
-// scheduler of §5.3.
+// Configuration covers the evaluation axes of §5: flush policy for the
+// durable log (the §6 "logging is off the critical path" claim), join
+// transfer source, reduction policy, batching, and the optional QoS
+// scheduler of §5.3.  The stateless curve of Figure 3 is a different
+// server, StatelessServer (core/stateless_server.h).
 //
 // Deployment: a CoronaServer can serve clients directly (single-server
 // configuration) or sit behind the replicated service of src/replica/, which
@@ -26,6 +27,7 @@
 
 #include "core/group.h"
 #include "core/log_reduction.h"
+#include "core/outbox.h"
 #include "core/qos_scheduler.h"
 #include "core/session_manager.h"
 #include "core/state_transfer.h"
@@ -58,11 +60,6 @@ enum class FlushPolicy {
 };
 
 struct ServerConfig {
-  // false reproduces the "stateless" curve of Figure 3: the server still
-  // sequences and multicasts but maintains no shared state and no log, and
-  // joins transfer nothing.
-  bool stateful = true;
-
   FlushPolicy flush = FlushPolicy::kAsync;
   Duration flush_interval = 100 * kMillisecond;
 
@@ -71,13 +68,6 @@ struct ServerConfig {
   // falls back to the service copy when no member can answer.
   JoinTransferMode join_transfer = JoinTransferMode::kService;
   Duration peer_timeout = 1 * kSecond;
-
-  // CPU charged per sequenced message for state maintenance (applying the
-  // message to the in-memory state and appending to the in-memory log).
-  // Constant per message + linear in payload — this is the overhead Figure 3
-  // shows to be negligible next to the N point-to-point sends.
-  Duration state_cpu_per_msg = 20;       // us
-  double state_cpu_per_byte = 0.02;      // us/byte
 
   // Per-group reduction policy factory (default: never reduce).
   std::function<std::unique_ptr<ReductionPolicy>()> reduction_factory;
@@ -215,9 +205,9 @@ class CoronaServer : public Node {
 
   Group* find_group(GroupId g);
   Status authorize(NodeId client, GroupId g, GroupAction action);
-  // Sequences `rec` only: allocates the seq, marks the dedup set, charges
-  // state CPU, applies to shared state and appends to the log.  Shared by
-  // the per-message and batched paths so both produce identical records.
+  // Sequences `rec` only: charges state CPU, sequences it through the Group
+  // (seq, dedup mark, apply) and appends it to the log.  Shared by the
+  // per-message and batched paths so both produce identical records.
   CORONA_HOT_PATH void sequence_record(Group& group, UpdateRecord& rec);
   // Sequences `rec` into `group`, applies it to state + log, charges CPU.
   // Delivery is immediate (kNone/kAsync) or deferred behind the disk (kSync).
@@ -268,7 +258,7 @@ class CoronaServer : public Node {
 
   // Batch queue (config_.batch_max_msgs > 1 only).
   std::vector<PendingDelivery> batch_queue_;
-  TimerHandle batch_timer_ = 0;
+  BatchTrigger batch_trigger_;
 
   struct PendingPeerJoin {
     GroupId group;

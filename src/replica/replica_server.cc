@@ -14,6 +14,8 @@ ReplicaServer::ReplicaServer(ReplicaConfig cfg,
                              GroupStore* store)
     : cfg_(cfg),
       registry_(std::move(startup_servers)),
+      coord_outbox_(cfg.batch_max_msgs, cfg.batch_max_delay, kCoordBatchTimer),
+      leaf_outbox_(cfg.batch_max_msgs, cfg.batch_max_delay, kLeafBatchTimer),
       coord_fd_(cfg.fd_timeout),
       repl_(cfg.min_copies),
       leaf_fd_(cfg.fd_timeout),
@@ -89,7 +91,7 @@ const SharedState* ReplicaServer::local_state(GroupId g) const {
 
 const SharedState* ReplicaServer::coord_state(GroupId g) const {
   auto it = cgroups_.find(g);
-  return it != cgroups_.end() ? &it->second.state : nullptr;
+  return it != cgroups_.end() ? &it->second.state() : nullptr;
 }
 
 std::vector<NodeId> ReplicaServer::coord_holders(GroupId g) const {
@@ -165,7 +167,7 @@ void ReplicaServer::on_message(NodeId from, const Message& m) {
     case MsgType::kResendReply: {
       // Client-side crash recovery resend: route to the sequencer.
       if (is_coordinator()) {
-        coord_handle_resend(from, m);
+        coord_handle_resend(m);
       } else {
         Message fwd = m;
         fwd.origin_server = id();
@@ -300,11 +302,11 @@ void ReplicaServer::on_timer(std::uint64_t tag) {
       }
       break;
     case kCoordBatchTimer:
-      coord_batch_timer_ = 0;
+      coord_outbox_.timer_fired();
       coord_flush_outbox();
       break;
     case kLeafBatchTimer:
-      leaf_batch_timer_ = 0;
+      leaf_outbox_.timer_fired();
       leaf_flush_outbox();
       break;
     default:
@@ -440,9 +442,7 @@ void ReplicaServer::leaf_handle_seq_multicast(const Message& m) {
     }
     return;
   }
-  rt().charge_cpu(id(), cfg_.state_cpu_per_msg +
-                            static_cast<Duration>(cfg_.state_cpu_per_byte *
-                                                  double(rec.data.size())));
+  rt().charge_cpu(id(), state_cpu_cost(rec.data.size()));
   leaf_apply_and_fanout(lg, rec, m.sender_inclusive, m.sender);
 }
 
@@ -452,24 +452,15 @@ void ReplicaServer::leaf_apply_and_fanout(LocalGroup& lg,
                                           NodeId origin) {
   lg.state.apply(rec);
   const Message out = make_deliver(lg.meta.id, rec);
-  if (cfg_.batch_max_msgs > 1) {
+  if (leaf_outbox_.enabled()) {
     // Batched fan-out: the record is applied immediately (ordering and gap
     // detection unchanged); only the kDeliver frames coalesce per client.
     for (const auto& [member, info] : lg.local_members) {
       if (!sender_inclusive && member == origin) continue;
-      leaf_outbox_[member].push_back(out);
+      leaf_outbox_.push(member, out);
       ++stats_.fanout_deliveries;
     }
-    ++leaf_outbox_msgs_;
-    if (leaf_outbox_msgs_ >= cfg_.batch_max_msgs) {
-      if (leaf_batch_timer_ != 0) {
-        cancel_timer(leaf_batch_timer_);
-        leaf_batch_timer_ = 0;
-      }
-      leaf_flush_outbox();
-    } else if (leaf_batch_timer_ == 0) {
-      leaf_batch_timer_ = set_timer(cfg_.batch_max_delay, kLeafBatchTimer);
-    }
+    if (leaf_outbox_.end_record(rt(), id())) leaf_flush_outbox();
     return;
   }
   // Unbatched leaf fan-out: one encode of the kDeliver for all local
@@ -485,11 +476,7 @@ void ReplicaServer::leaf_apply_and_fanout(LocalGroup& lg,
 }
 
 void ReplicaServer::leaf_flush_outbox() {
-  leaf_outbox_msgs_ = 0;
-  if (leaf_outbox_.empty()) return;
-  auto outbox = std::move(leaf_outbox_);
-  leaf_outbox_.clear();
-  for (auto& [client, msgs] : outbox) {
+  for (const auto& [client, msgs] : leaf_outbox_.take_runs()) {
     if (msgs.size() > 1) ++stats_.fanout_batch_frames;
     send_batch(client, msgs);
   }

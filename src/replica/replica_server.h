@@ -36,6 +36,7 @@
 
 #include "core/group.h"
 #include "core/locks.h"
+#include "core/outbox.h"
 #include "core/state_transfer.h"
 #include "replica/election.h"
 #include "replica/failure_detector.h"
@@ -63,18 +64,16 @@ struct ReplicaConfig {
   Duration takeover_window = 400 * kMillisecond;
   std::size_t min_copies = 2;   // hot-standby requirement (§4.1)
   Duration flush_interval = 100 * kMillisecond;
-  // CPU model for state maintenance (same role as ServerConfig's).
-  Duration state_cpu_per_msg = 20;
-  double state_cpu_per_byte = 0.02;
 
   // Batched fan-out.  When batch_max_msgs > 1, the coordinator coalesces
   // outbound kSeqMulticast frames per leaf and leaves coalesce kDeliver
-  // frames per client: an outbox accumulates until batch_max_msgs sequencing
-  // decisions are queued or batch_max_delay after the first, then every
-  // destination gets one coalesced frame.  Sequencing, state application and
-  // timestamping stay immediate and per-message, so ordering, gap detection,
-  // retransmission and state transfer are semantically untouched.
-  // batch_max_msgs <= 1 keeps today's one-frame-per-message path.
+  // frames per client: an Outbox (core/outbox.h) accumulates until
+  // batch_max_msgs sequencing decisions are queued or batch_max_delay after
+  // the first, then every destination gets one coalesced frame.
+  // Sequencing, state application and timestamping stay immediate and
+  // per-message, so ordering, gap detection, retransmission and state
+  // transfer are semantically untouched.  batch_max_msgs <= 1 keeps the
+  // one-frame-per-message path.
   std::size_t batch_max_msgs = 1;
   Duration batch_max_delay = 0;
 };
@@ -183,30 +182,11 @@ class ReplicaServer : public Node {
   void handle_announce(NodeId from, const Message& m);
 
   // ====================== coordinator side (coordinator.cc) ===========
-  struct CoordMemberInfo {
-    NodeId leaf;  // the server this client connects through
-    MemberRole role = MemberRole::kPrincipal;
-    bool notify = false;
-  };
-  struct CoordGroup {
-    GroupMeta meta;
-    SharedState state;
-    SeqNo next_seq = 1;
-    std::map<NodeId, CoordMemberInfo> members;  // client -> info
-    LockTable locks;
-    std::set<std::pair<std::uint64_t, RequestId>> seen;
-
-    // Sequencer invariants: the next sequence number to hand out is exactly
-    // head_seq+1 (the sequencer never skips or reuses a number), the
-    // authoritative history has no gaps, and every lock holder/waiter is a
-    // current member; plus the nested SharedState/LockTable invariants.
-    InvariantReport check_invariants() const;
-  };
-
+  // The coordinator keeps one Group per group, the same sequencing core as
+  // the single server; each Member records the leaf it connects through.
   CORONA_HOT_PATH void coord_handle_fwd_multicast(NodeId from,
                                                   const Message& m);
-  void coord_sequence(CoordGroup& cg, UpdateRecord rec, bool sender_inclusive,
-                      NodeId origin_leaf);
+  void coord_sequence(Group& cg, UpdateRecord rec, bool sender_inclusive);
   void coord_handle_group_op(NodeId from, const Message& m);
   void coord_op_create(NodeId leaf, const Message& m);
   void coord_op_delete(NodeId leaf, const Message& m);
@@ -218,18 +198,18 @@ class ReplicaServer : public Node {
   // Sends every queued kSeqMulticast run, one coalesced frame per leaf.
   void coord_flush_outbox();
   void coord_handle_state_query(NodeId from, const Message& m);
-  void coord_handle_resend(NodeId from, const Message& m);
+  void coord_handle_resend(const Message& m);
   void coord_handle_hello(NodeId from, const Message& m);
   void coord_handle_heartbeat_ack(NodeId from, const Message& m);
   void coord_heartbeat_tick();
   void coord_drop_server(NodeId leaf);
-  void coord_send_notice(CoordGroup& cg, NodeId subject, MemberRole role,
+  void coord_send_notice(const Group& cg, NodeId subject, MemberRole role,
                          bool joined);
   void coord_maybe_assign_backup(GroupId g);
   void coord_send_result(NodeId leaf, const Message& original, Status s);
   void coord_route_lock_grant(GroupId g, ObjectId obj, NodeId client);
-  CoordGroup* coord_find(GroupId g);
-  void coord_persist_create(const CoordGroup& cg);
+  Group* coord_find(GroupId g);
+  void coord_persist_create(const Group& cg);
   void coord_flush_tick();
   // takeover
   void coord_begin_takeover();
@@ -262,13 +242,10 @@ class ReplicaServer : public Node {
   ReplicaStats stats_;
 
   // Batching outboxes (cfg_.batch_max_msgs > 1 only): per-destination runs
-  // of already-sequenced frames awaiting one coalesced send each.
-  std::map<NodeId, std::vector<Message>> coord_outbox_;
-  std::size_t coord_outbox_msgs_ = 0;  // sequencing decisions queued
-  TimerHandle coord_batch_timer_ = 0;
-  std::map<NodeId, std::vector<Message>> leaf_outbox_;
-  std::size_t leaf_outbox_msgs_ = 0;  // applied records queued
-  TimerHandle leaf_batch_timer_ = 0;
+  // of already-sequenced frames awaiting one coalesced send each.  The
+  // coordinator's counts sequencing decisions, the leaf's applied records.
+  Outbox coord_outbox_;
+  Outbox leaf_outbox_;
 
   // leaf
   std::map<GroupId, LocalGroup> local_;
@@ -278,7 +255,7 @@ class ReplicaServer : public Node {
   ElectionTally tally_;
 
   // coordinator
-  std::map<GroupId, CoordGroup> cgroups_;
+  std::map<GroupId, Group> cgroups_;
   ReplicationManager repl_;
   FailureDetector leaf_fd_;
   GroupStore* store_;

@@ -323,6 +323,57 @@ TEST(Group, SeenSetDedups) {
   EXPECT_TRUE(g.mark_seen(NodeId{101}, 1));  // different sender, same rid
 }
 
+TEST(Group, SequenceStampsMarksAndApplies) {
+  Group g(GroupMeta{GroupId{1}, "g", false});
+  UpdateRecord rec;
+  rec.object = ObjectId{1};
+  rec.kind = PayloadKind::kUpdate;
+  rec.data = to_bytes("ab");
+  rec.sender = NodeId{100};
+  rec.request_id = 7;
+  g.sequence(rec);
+  EXPECT_EQ(rec.seq, 1u);
+  EXPECT_EQ(g.next_seq(), 2u);
+  EXPECT_EQ(g.state().head_seq(), 1u);
+  EXPECT_EQ(to_string(*g.state().object(ObjectId{1})), "ab");
+  EXPECT_TRUE(g.was_seen(NodeId{100}, 7));
+  EXPECT_TRUE(g.check_invariants().ok());
+}
+
+TEST(Group, RebuildReplaysUpdatesAndContinuesTheSequence) {
+  Group g(GroupMeta{GroupId{1}, "g", false});
+  g.mark_seen(NodeId{100}, 1);  // an earlier mark survives the rebuild
+  std::vector<UpdateRecord> updates(2);
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    updates[i].seq = 11 + i;
+    updates[i].object = ObjectId{1};
+    updates[i].kind = PayloadKind::kUpdate;
+    updates[i].data = to_bytes("x");
+    updates[i].sender = NodeId{101};
+    updates[i].request_id = 20 + i;
+  }
+  g.rebuild(10, {StateEntry{ObjectId{1}, to_bytes("base;")}}, updates);
+  EXPECT_EQ(g.state().base_seq(), 10u);
+  EXPECT_EQ(g.state().head_seq(), 12u);
+  EXPECT_EQ(g.next_seq(), 13u);
+  EXPECT_EQ(to_string(*g.state().object(ObjectId{1})), "base;xx");
+  EXPECT_TRUE(g.was_seen(NodeId{101}, 20));
+  EXPECT_TRUE(g.was_seen(NodeId{101}, 21));
+  EXPECT_TRUE(g.was_seen(NodeId{100}, 1));
+  EXPECT_TRUE(g.check_invariants().ok());
+}
+
+TEST(Group, SetMemberReplacesTheEntry) {
+  Group g(GroupMeta{GroupId{1}, "g", false});
+  g.set_member(NodeId{100}, Member{MemberRole::kPrincipal, false, NodeId{2}});
+  g.set_member(NodeId{100}, Member{MemberRole::kObserver, true, NodeId{3}});
+  ASSERT_EQ(g.member_count(), 1u);
+  const Member& m = g.members().at(NodeId{100});
+  EXPECT_EQ(m.leaf, NodeId{3});
+  EXPECT_EQ(m.role, MemberRole::kObserver);
+  EXPECT_TRUE(m.wants_membership_notices);
+}
+
 // ---------------------------------------------------------------------------
 // QoS scheduler
 // ---------------------------------------------------------------------------

@@ -158,6 +158,29 @@ TEST(GroupInvariants, SequencerBehindAppliedHeadIsReported) {
   EXPECT_FALSE(g.check_invariants().ok());
 }
 
+TEST(GroupInvariants, SequencerAheadOfHeadIsReported) {
+  Group g(GroupMeta{GroupId{1}, "g", true});
+  g.state().apply(make_rec(g.allocate_seq(), 8));
+  GroupTestAccess::next_seq(g) = 3;  // would skip seq 2
+  const InvariantReport rep = g.check_invariants();
+  ASSERT_FALSE(rep.ok());
+  EXPECT_NE(rep.to_string().find("next_seq 3 != head_seq+1 2"),
+            std::string::npos);
+}
+
+TEST(GroupInvariants, HistoryGapIsReported) {
+  Group g(GroupMeta{GroupId{1}, "g", true});
+  g.state().apply(make_rec(1, 8));
+  g.state().apply(make_rec(3, 8));  // seq 2 was never applied
+  GroupTestAccess::next_seq(g) = 4;
+  const InvariantReport rep = g.check_invariants();
+  ASSERT_FALSE(rep.ok());
+  EXPECT_NE(rep.to_string().find("history gap — expected seq 2, found 3"),
+            std::string::npos);
+  EXPECT_EQ(rep.to_string().find("next_seq"), std::string::npos)
+      << "only the gap is wrong here";
+}
+
 // ---------------------------------------------------------------------------
 // ReplicationManager
 // ---------------------------------------------------------------------------

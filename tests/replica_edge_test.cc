@@ -97,6 +97,27 @@ TEST(ReplicaEdge, LogReductionPropagatesToLeafCopies) {
             "uuuuuuuuuu");
 }
 
+TEST(ReplicaEdge, ReduceLogAcknowledgedThroughLeaf) {
+  std::vector<std::pair<RequestId, Status>> replies;
+  CoronaClient::Callbacks cb;
+  cb.on_reply = [&replies](RequestId rid, Status s) {
+    replies.emplace_back(rid, s);
+  };
+  ReplicatedWorld w(3, 1, ReplicaConfig{}, cb);
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  w.client(0).join(kG);
+  w.settle();
+  w.client(0).bcast_update(kG, kObj, to_bytes("u"));
+  w.settle();
+  const RequestId rid = w.client(0).reduce_log(kG);
+  w.settle();
+  // The coordinator's result comes back through the leaf to the requester.
+  ASSERT_FALSE(replies.empty());
+  EXPECT_EQ(replies.back().first, rid);
+  EXPECT_TRUE(replies.back().second.is_ok());
+}
+
 TEST(ReplicaEdge, SingleServerReplicatedModeServesClientsDirectly) {
   // servers = 1: the coordinator doubles as the (only) leaf.
   ReplicatedWorld w(1, 2);
@@ -183,6 +204,40 @@ TEST(ReplicaEdge, RestartedServerRejoinsRegistry) {
   EXPECT_TRUE(w.coordinator().registry().contains(w.server_ids[2]));
   EXPECT_EQ(fresh->coordinator(), w.server_ids[0]);
   w.servers[2] = std::move(fresh);
+}
+
+TEST(ReplicaEdge, RegistryChangesReachEveryLeaf) {
+  ReplicatedWorld w(3, 0);
+  ASSERT_TRUE(w.leaf(1).registry().contains(w.server_ids[2]));
+  // The coordinator drops a dead leaf and tells the other leaves.
+  w.rt.crash(w.server_ids[2]);
+  w.run_ms(3000);
+  EXPECT_FALSE(w.leaf(1).registry().contains(w.server_ids[2]));
+
+  // A restarted server re-registers; the other leaves learn it back.
+  auto fresh = std::make_unique<ReplicaServer>(ReplicaConfig{}, w.server_ids);
+  w.rt.restart(w.server_ids[2], fresh.get());
+  w.run_ms(2000);
+  EXPECT_TRUE(w.leaf(1).registry().contains(w.server_ids[2]));
+  w.servers[2] = std::move(fresh);
+}
+
+TEST(ReplicaEdge, SurplusBackupReleasedOnceMembersSpread) {
+  // One member on leaf 1: leaf 2 is recruited as the hot standby.  A second
+  // member on leaf 3 makes two member-driven copies, so the standby is
+  // surplus and must be told to drop its copy.
+  ReplicatedWorld w(4, 3);  // clients on leaves 1, 2, 3
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  w.client(0).join(kG);
+  w.settle();
+  ASSERT_TRUE(w.leaf(2).holds_copy(kG)) << "leaf 2 was not the standby";
+  w.client(2).join(kG);
+  w.settle();
+  w.run_ms(500);
+  EXPECT_FALSE(w.leaf(2).holds_copy(kG));
+  EXPECT_TRUE(w.leaf(1).holds_copy(kG));
+  EXPECT_TRUE(w.leaf(3).holds_copy(kG));
 }
 
 TEST(ReplicaEdge, GetMembershipServedFromLeafView) {

@@ -308,6 +308,74 @@ TEST(Replicated, CoordinatorCrashElectsFirstInList) {
             "before;after;");
 }
 
+// After a takeover the coordinator's membership comes from re-registrations.
+// A member that then registers again through a different leaf must have its
+// entry REPLACED: its old leaf's death must not drop it, and lock grants and
+// membership notices must reach it through the new leaf.
+TEST(Replicated, MemberReregisteredThroughNewLeafAfterTakeover) {
+  std::vector<std::pair<NodeId, bool>> c0_notices;  // c0 sees (subject, joined)
+  std::vector<std::pair<NodeId, bool>> c1_notices;
+  int c1_grants = 0;
+  ReplicatedWorld w(4, 2);  // c0 on leaf 1, c1 on leaf 2
+  CoronaClient::Callbacks cb0;
+  cb0.on_membership_change = [&c0_notices](GroupId, NodeId who, MemberRole,
+                                           bool joined) {
+    c0_notices.emplace_back(who, joined);
+  };
+  w.client(0).set_callbacks(cb0);
+  CoronaClient::Callbacks cb1;
+  cb1.on_membership_change = [&c1_notices](GroupId, NodeId who, MemberRole,
+                                           bool joined) {
+    c1_notices.emplace_back(who, joined);
+  };
+  cb1.on_lock_granted = [&c1_grants](GroupId, ObjectId) { ++c1_grants; };
+  w.client(1).set_callbacks(cb1);
+
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  w.client(0).join(kG, TransferPolicySpec::full(), MemberRole::kPrincipal,
+                   /*notify_membership=*/true);
+  w.client(1).join(kG, TransferPolicySpec::full(), MemberRole::kPrincipal,
+                   /*notify_membership=*/true);
+  w.settle();
+
+  // Coordinator crash: leaf 1 takes over and rebuilds the membership from
+  // the leaves' silent re-registrations (c1 through leaf 2).
+  w.rt.crash(w.server_ids[0]);
+  w.run_ms(6000);
+  ASSERT_TRUE(w.leaf(1).is_coordinator());
+
+  // c1 registers again, now through leaf 3; then its old leaf dies.
+  w.client(1).set_server(w.server_ids[3]);
+  w.client(1).join(kG, TransferPolicySpec::full(), MemberRole::kPrincipal,
+                   /*notify_membership=*/true);
+  w.settle();
+  w.rt.crash(w.server_ids[2]);
+  w.run_ms(3000);
+  ASSERT_FALSE(w.leaf(1).registry().contains(w.server_ids[2]));
+  EXPECT_EQ(std::count(c0_notices.begin(), c0_notices.end(),
+                       std::make_pair(client_id(1), false)),
+            0)
+      << "the death of c1's old leaf dropped c1";
+
+  // A grant queued for c1 routes through leaf 3.
+  w.client(0).lock(kG, kObj);
+  w.settle();
+  w.client(1).lock(kG, kObj);
+  w.settle();
+  EXPECT_EQ(c1_grants, 0);
+  w.client(0).unlock(kG, kObj);
+  w.settle();
+  EXPECT_EQ(c1_grants, 1) << "the grant went to c1's old leaf";
+
+  // A membership notice reaches c1 through leaf 3.
+  w.client(0).leave(kG);
+  w.settle();
+  EXPECT_EQ(std::count(c1_notices.begin(), c1_notices.end(),
+                       std::make_pair(client_id(0), false)),
+            1);
+}
+
 TEST(Replicated, ElectionSkipsDeadFirstServer) {
   // Coordinator AND first leaf crash simultaneously: the second leaf must
   // take over after its longer staged timeout (paper: "k+1 servers tolerate

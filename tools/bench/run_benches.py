@@ -9,6 +9,7 @@ name.  Exit status is non-zero if any bench fails to run or emits no JSON.
 Usage:
     tools/bench/run_benches.py [--build-dir build] [--out BENCH_socket_baseline.json]
     tools/bench/run_benches.py --compare BENCH_socket_baseline.json
+    tools/bench/run_benches.py --compare BENCH_socket_baseline.json --exact
 
 With --compare the freshly-measured metrics are checked against a recorded
 baseline and the run fails (exit 1) if any direction-known metric regressed
@@ -29,6 +30,14 @@ Metrics with no matching pattern fall back to --threshold (default 25).
 The `_thresholds` section is not a bench: it is skipped when comparing and
 carried over verbatim when --out records fresh numbers.  The baseline file
 is left untouched in compare mode unless --out names a different path.
+
+--exact (with --compare) is the gate for the benches that run on the
+deterministic simulator: every baseline metric of a bench that ran must be
+reproduced exactly, whatever its direction or threshold, and a baseline
+metric the fresh run no longer emits fails too.  A change that is meant to
+keep behaviour (a refactor) proves it this way; a deliberate behaviour
+change re-records the baseline.  Do not use it for wall-clock benches such
+as ablation_durability.
 """
 
 import argparse
@@ -164,6 +173,26 @@ def compare_metrics(
     return regressions
 
 
+def compare_exact(baseline: dict, fresh: dict) -> int:
+    """Prints every baseline metric the fresh run does not reproduce exactly
+    (benches that did not run are skipped); returns the mismatch count."""
+    mismatches = 0
+    for bench in sorted(fresh):
+        if bench not in baseline:
+            print(f"[exact] {bench}: not in the baseline — skipped")
+            continue
+        for key in sorted(baseline[bench]):
+            old = baseline[bench][key]
+            if key not in fresh[bench]:
+                mismatches += 1
+                print(f"[exact] MISMATCH {bench}.{key}: {old!r} -> missing")
+            elif fresh[bench][key] != old:
+                mismatches += 1
+                print(f"[exact] MISMATCH {bench}.{key}: {old!r} -> "
+                      f"{fresh[bench][key]!r}")
+    return mismatches
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -191,6 +220,12 @@ def main() -> int:
         "on regressions instead of (re)writing it",
     )
     parser.add_argument(
+        "--exact",
+        action="store_true",
+        help="with --compare: fail unless every baseline metric of the "
+        "benches run is reproduced exactly (deterministic sim benches only)",
+    )
+    parser.add_argument(
         "--threshold",
         type=float,
         default=25.0,
@@ -204,6 +239,8 @@ def main() -> int:
         f"(default: {','.join(BENCHES)})",
     )
     args = parser.parse_args()
+    if args.exact and not args.compare:
+        parser.error("--exact needs --compare BASELINE_JSON")
 
     benches = BENCHES
     if args.benches:
@@ -233,6 +270,16 @@ def main() -> int:
             raise RuntimeError(f"{name} emitted an empty metrics object")
         merged[bench_key] = metrics
         print(f"[run_benches]   {len(metrics)} metrics", flush=True)
+
+    if baseline is not None and args.exact:
+        mismatches = compare_exact(baseline, merged)
+        if mismatches:
+            print(f"[run_benches] FAIL: {mismatches} metric(s) differ from "
+                  f"{args.compare}")
+            return 1
+        print(f"[run_benches] exact OK: every baseline metric of "
+              f"{', '.join(sorted(merged))} reproduced")
+        return 0
 
     if baseline is not None:
         regressions = compare_metrics(baseline, merged, args.threshold,

@@ -122,5 +122,41 @@ class CompareMetrics(unittest.TestCase):
         self.assertEqual(n, 0)
 
 
+
+class CompareExact(unittest.TestCase):
+    def compare(self, baseline, fresh):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            n = run_benches.compare_exact(baseline, fresh)
+        return n, buf.getvalue()
+
+    def test_identical_metrics_pass(self):
+        n, _ = self.compare({"b": {"p99_ms": 1.25, "n": 4}},
+                            {"b": {"p99_ms": 1.25, "n": 4}})
+        self.assertEqual(n, 0)
+
+    def test_any_difference_fails_whatever_its_direction(self):
+        # An "improvement", a directionless count and a label all count.
+        n, out = self.compare(
+            {"b": {"p99_ms": 1.25, "n_clients": 4, "label": "x"}},
+            {"b": {"p99_ms": 1.0, "n_clients": 5, "label": "y"}})
+        self.assertEqual(n, 3)
+        self.assertIn("MISMATCH b.p99_ms", out)
+        self.assertIn("MISMATCH b.n_clients", out)
+
+    def test_missing_metric_fails_and_extra_metric_does_not(self):
+        n, out = self.compare({"b": {"p99_ms": 1.0}},
+                              {"b": {"extra": 3}})
+        self.assertEqual(n, 1)
+        self.assertIn("MISMATCH b.p99_ms: 1.0 -> missing", out)
+
+    def test_benches_not_run_and_thresholds_are_skipped(self):
+        n, _ = self.compare(
+            {run_benches.THRESHOLDS_KEY: {"*": 1.0}, "other": {"p99_ms": 1.0},
+             "b": {"p99_ms": 1.0}},
+            {"b": {"p99_ms": 1.0}})
+        self.assertEqual(n, 0)
+
+
 if __name__ == "__main__":
     unittest.main()

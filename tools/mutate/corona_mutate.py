@@ -166,11 +166,11 @@ GOLDENS = [
     ),
     GoldenSpec(
         "golden-sequencer-skip",
-        "src/replica/coordinator.cc",
-        r"rec\.seq = cg\.next_seq\+\+;",
-        "rec.seq = ++cg.next_seq;",
-        "coordinator sequencer skips a sequence number per multicast "
-        "(total-order gap)",
+        "src/core/group.cc",
+        r"rec\.seq = allocate_seq\(\);",
+        "rec.seq = ++next_seq_;",
+        "the group sequencer (single server and coordinator alike) skips a "
+        "sequence number (total-order gap)",
     ),
     GoldenSpec(
         "golden-lock-lifo",
