@@ -26,8 +26,10 @@ using testing::SingleServerWorld;
 
 const GroupId kG{1};
 
+// No padding: gtest names each instance by a byte dump of this struct, and
+// padding bytes are uninitialized, which would make the names vary per run.
 struct WorkloadParams {
-  int seed;
+  std::size_t seed;
   std::size_t clients;
   std::size_t operations;
 };
