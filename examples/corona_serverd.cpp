@@ -10,9 +10,10 @@
 //                  [--client-timeout-ms N] [--keepalive-ms N]
 //
 // With --data-dir the server runs on the durable backend (storage/disk/):
-// every sequenced update is logged to segmented files, checkpoints are
-// written atomically, and a restart with the same --data-dir recovers all
-// persistent group state — kill -9 included (see docs/STORAGE.md).
+// every sequenced update is logged to one segmented log shared by all
+// groups, checkpoints are written atomically, and a restart with the same
+// --data-dir recovers all persistent group state — kill -9 included (see
+// docs/STORAGE.md).
 //
 // lint-file: clock-ok thread-ok — deployable daemon: wall-clock signal
 // handling and the blocking main thread live here, outside the protocol

@@ -1,7 +1,8 @@
 // libFuzzer entry for the durable storage decoders (storage/disk/), built
 // behind -DCORONA_FUZZ=ON.  The input is fed to every on-disk format reader
-// — segment scan, checkpoint file, log meta — as one hostile buffer, which
-// is exactly what a recovery scan reads off a crashed disk.
+// — segment scan, checkpoint file, log entry (update or tombstone) — as one
+// hostile buffer, which is exactly what a recovery scan reads off a crashed
+// disk.
 //
 //   cmake --preset asan -DCORONA_FUZZ=ON && cmake --build build/asan -j
 //   ./build/asan/fuzz/storage_fuzz -max_total_time=60
@@ -21,6 +22,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const corona::disk::SegmentScan scan = corona::disk::scan_segment(buf);
   if (scan.valid_bytes > size) __builtin_trap();  // internal inconsistency
   (void)corona::disk::decode_checkpoint_file(buf);
-  (void)corona::disk::decode_log_meta(buf);
+  if (const auto entry = corona::disk::decode_entry(buf)) {
+    // The body is whatever follows the fixed entry header, never more.
+    if (entry->body.size() + corona::disk::kEntryHeaderBytes != size) {
+      __builtin_trap();
+    }
+  }
   return 0;
 }

@@ -2,39 +2,47 @@
 
 #include <cstdlib>
 
-#include "storage/disk/disk_log.h"
+#include "util/logging.h"
+#include "util/result.h"
 
 namespace corona::disk {
+namespace {
+
+// An error when `dir` holds log segments in the per-group layout of earlier
+// versions, which are not migrated.
+Status check_layout(const std::string& dir) {
+  const std::string groups = dir + "/groups";
+  for (const std::string& id : list_dirs(groups)) {
+    for (const std::string& name : list_files(groups + "/" + id)) {
+      if (name.starts_with("seg-") && name.ends_with(".log")) {
+        return Status::error(
+            Errc::kInvalidArgument,
+            groups + "/" + id +
+                " holds log segments in the per-group layout of an earlier "
+                "version; this version keeps one log in " + dir +
+                "/log and does not migrate them");
+      }
+    }
+  }
+  return Status::ok();
+}
+
+// The checkpoint directory of `dir`, after refusing an old layout: runs
+// before any member constructor writes to the directory.
+std::string checked_ckpt_dir(const std::string& dir) {
+  const Status layout = check_layout(dir);
+  if (!layout.is_ok()) {
+    LOG_ERROR("disk", layout.detail);
+    std::abort();  // fail-stop, like any other durability failure
+  }
+  return dir + "/ckpt";
+}
+
+}  // namespace
 
 DiskEnv::DiskEnv(DiskEnvConfig config)
     : config_(std::move(config)),
-      checkpoints_(config_.dir + "/ckpt", &counters_) {
-  ensure_dir(config_.dir + "/groups");
-}
-
-std::string DiskEnv::group_dir(GroupId id) const {
-  return config_.dir + "/groups/" + std::to_string(id.value);
-}
-
-std::unique_ptr<LogBackend> DiskEnv::open_log(GroupId id) {
-  return std::make_unique<DiskLog>(group_dir(id), config_.segment_bytes,
-                                   &counters_);
-}
-
-void DiskEnv::remove_log(GroupId id) {
-  remove_tree(group_dir(id));
-  sync_dir(config_.dir + "/groups", &counters_);
-}
-
-std::vector<GroupId> DiskEnv::list_logs() const {
-  std::vector<GroupId> ids;
-  for (const std::string& name : list_dirs(config_.dir + "/groups")) {
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(name.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || name.empty()) continue;
-    ids.push_back(GroupId(v));
-  }
-  return ids;
-}
+      checkpoints_(checked_ckpt_dir(config_.dir), &counters_),
+      log_(config_.dir + "/log", config_.segment_bytes, &counters_) {}
 
 }  // namespace corona::disk

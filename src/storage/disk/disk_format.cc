@@ -7,9 +7,8 @@
 namespace corona::disk {
 namespace {
 
-constexpr std::uint8_t kSegmentMagic[4] = {'C', 'S', 'G', '1'};
+constexpr std::uint8_t kSegmentMagic[4] = {'C', 'S', 'L', '1'};
 constexpr std::uint8_t kCheckpointMagic[4] = {'C', 'C', 'K', '1'};
-constexpr std::uint8_t kMetaMagic[4] = {'C', 'L', 'M', '1'};
 
 void put_u32le(Bytes& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -37,18 +36,45 @@ std::uint64_t get_u64le(const std::uint8_t* p) {
 
 }  // namespace
 
-void append_segment_header(Bytes& out, std::uint64_t base_index) {
+void append_segment_header(Bytes& out, std::uint64_t segment_id) {
   const std::size_t start = out.size();
   out.insert(out.end(), kSegmentMagic, kSegmentMagic + 4);
-  put_u64le(out, base_index);
+  put_u64le(out, segment_id);
   const std::uint32_t crc = crc32c(out.data() + start, 12);
   put_u32le(out, crc);
 }
 
-void append_record(Bytes& out, BytesView payload) {
-  put_u32le(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32le(out, crc32c(payload));
-  out.insert(out.end(), payload.begin(), payload.end());
+void append_entry(Bytes& out, GroupId group, std::uint64_t index,
+                  EntryKind kind, BytesView body) {
+  const std::size_t start = out.size();
+  put_u32le(out, static_cast<std::uint32_t>(kEntryHeaderBytes + body.size()));
+  put_u32le(out, 0);  // crc, patched once the payload is in place
+  put_u64le(out, group.value);
+  put_u64le(out, index);
+  out.push_back(static_cast<std::uint8_t>(kind));
+  out.insert(out.end(), body.begin(), body.end());
+  const std::size_t payload = start + kRecordHeaderBytes;
+  const std::uint32_t crc =
+      crc32c(out.data() + payload, out.size() - payload);
+  for (int i = 0; i < 4; ++i) {
+    out[start + 4 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+std::optional<EntryView> decode_entry(BytesView payload) {
+  if (payload.size() < kEntryHeaderBytes) return std::nullopt;
+  const std::uint8_t kind = payload[16];
+  if (kind < static_cast<std::uint8_t>(EntryKind::kUpdate) ||
+      kind > static_cast<std::uint8_t>(EntryKind::kFloor)) {
+    return std::nullopt;
+  }
+  EntryView e;
+  e.group = GroupId(get_u64le(payload.data()));
+  e.index = get_u64le(payload.data() + 8);
+  e.kind = static_cast<EntryKind>(kind);
+  e.body = payload.subspan(kEntryHeaderBytes);
+  return e;
 }
 
 SegmentScan scan_segment(BytesView buf) {
@@ -60,7 +86,7 @@ SegmentScan scan_segment(BytesView buf) {
     return scan;  // header unreadable: the segment contributes nothing
   }
   scan.header_ok = true;
-  scan.base_index = get_u64le(buf.data() + 4);
+  scan.segment_id = get_u64le(buf.data() + 4);
   std::size_t pos = kSegmentHeaderBytes;
   while (pos < buf.size()) {
     if (buf.size() - pos < kRecordHeaderBytes) break;  // torn header
@@ -70,7 +96,9 @@ SegmentScan scan_segment(BytesView buf) {
     if (buf.size() - pos - kRecordHeaderBytes < len) break;  // torn payload
     const std::uint8_t* payload = buf.data() + pos + kRecordHeaderBytes;
     if (crc32c(payload, len) != crc) break;             // bit rot / splice
-    scan.records.emplace_back(payload, payload + len);
+    const auto entry = decode_entry(BytesView(payload, len));
+    if (!entry) break;  // checksummed but malformed: not ours
+    scan.entries.push_back(*entry);
     pos += kRecordHeaderBytes + len;
   }
   scan.valid_bytes = pos;
@@ -107,23 +135,6 @@ std::optional<CheckpointFile> decode_checkpoint_file(BytesView buf) {
   f.key.assign(body + 4, body + 4 + key_len);
   f.blob.assign(body + 4 + key_len, body + body_len);
   return f;
-}
-
-Bytes encode_log_meta(std::uint64_t start_index) {
-  Bytes out;
-  out.insert(out.end(), kMetaMagic, kMetaMagic + 4);
-  put_u64le(out, start_index);
-  put_u32le(out, crc32c(out.data() + 4, 8));
-  return out;
-}
-
-std::optional<std::uint64_t> decode_log_meta(BytesView buf) {
-  if (buf.size() != kMetaFileBytes ||
-      std::memcmp(buf.data(), kMetaMagic, 4) != 0 ||
-      get_u32le(buf.data() + 12) != crc32c(buf.data() + 4, 8)) {
-    return std::nullopt;
-  }
-  return get_u64le(buf.data() + 4);
 }
 
 }  // namespace corona::disk

@@ -111,19 +111,24 @@ void remove_tree(const std::string& path) {
 std::optional<Bytes> read_file(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return std::nullopt;
-  Bytes out;
-  std::uint8_t buf[1 << 16];
+  // Read straight into a buffer sized from fstat, growing only if the file
+  // grew meanwhile.
+  struct stat st{};
+  Bytes out(::fstat(fd, &st) == 0 ? static_cast<std::size_t>(st.st_size) : 0);
+  std::size_t len = 0;
   for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (len == out.size()) out.resize(out.size() + (1 << 16));
+    const ssize_t n = ::read(fd, out.data() + len, out.size() - len);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
       return std::nullopt;
     }
     if (n == 0) break;
-    out.insert(out.end(), buf, buf + n);
+    len += static_cast<std::size_t>(n);
   }
   ::close(fd);
+  out.resize(len);
   return out;
 }
 

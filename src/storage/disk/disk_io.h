@@ -36,6 +36,7 @@ struct DiskCounters {
   std::uint64_t bytes_written = 0;     // payload + framing bytes written
   std::uint64_t segments_created = 0;
   std::uint64_t segments_deleted = 0;  // reclaimed by log reduction
+  std::uint64_t records_copied = 0;    // live records copied forward
   std::uint64_t checkpoints_written = 0;
   std::uint64_t checkpoint_bytes = 0;  // blob bytes committed to disk
   std::uint64_t recovered_records = 0;  // records accepted by recovery scans

@@ -194,6 +194,8 @@ CommitResult GroupStore::commit(std::uint64_t ticket) {
   CommitResult r;
   for (const auto& [id, g] : groups_) r.bytes += g.log->pending_bytes();
   checkpoints().flush();
+  // On a shared log the first flush commits every group's records and the
+  // others return 0, so the sum is the commit group either way.
   for (auto& [id, g] : groups_) r.records += g.log->flush();
   committed_total_ = total;
   return r;

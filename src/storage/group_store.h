@@ -21,8 +21,10 @@
 // Commit pipeline.  append_update only *stages* the encoded record; a commit
 // (commit_job(), run by Runtime::submit_commit, possibly on an engine's
 // commit thread) moves every record staged so far into the group logs and
-// syncs each log it touched, so records that arrive while one commit syncs
-// join the next.  Every other call runs on the owner's thread.  The ones
+// flushes them, so records that arrive while one commit syncs join the
+// next.  On the disk env the group logs are views of one shared log: the
+// first view's flush writes every group's records with one write and one
+// sync, and the rest find nothing left to do.  Every other call runs on the owner's thread.  The ones
 // that touch the backends — group create/remove, checkpoint install,
 // flush, crash, recovery and the accessors — first wait until no commit
 // is running (commit_mu_).  Those that change a log then move the staged
@@ -97,7 +99,8 @@ class GroupStore {
 
   // The commit the runtime runs for this store (Runtime::submit_commit): it
   // takes every record staged before it starts, writes them, then syncs
-  // the staged checkpoints and each log with unsynced records.  A job
+  // the staged checkpoints and flushes every log (one shared commit on the
+  // disk env).  A job
   // whose records an earlier commit already covered returns at once and
   // syncs nothing.  The store must outlive every job it hands out.
   CommitJob commit_job();
@@ -148,8 +151,8 @@ class GroupStore {
   // backends (the control-plane wait); never by append_update.
   mutable Mutex commit_mu_;
   // Ordered map: commits and crash() iterate it with externally visible
-  // side effects (per-log fsync order, reap order), which must not depend
-  // on a hash seed (corona-lint unordered-container, ANALYSIS.md §4).
+  // side effects (flush order, reap order), which must not depend on a
+  // hash seed (corona-lint unordered-container, ANALYSIS.md §4).
   std::map<GroupId, PerGroup> groups_ CORONA_GUARDED_BY(commit_mu_);
   // Staged items covered by the last commit: a job whose ticket is at most
   // this completes without syncing.

@@ -11,7 +11,8 @@
 // Storage is in-memory (the workload fits trivially in RAM); the *timing* of
 // a real disk is modeled separately by sim::SimDisk so that logging cost and
 // logging durability stay independently testable.  The real on-disk log with
-// the same contract is storage/disk/disk_log.h.
+// the same contract is storage/disk/shared_log.h (one group's view of the
+// log a DiskEnv shares among all groups).
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,17 @@
 // The SIGKILL-recovery property, with a real kill(2): a writer process is
-// killed at a random moment — possibly mid-flush, mid-checkpoint, or
-// mid-segment-rotation — and the reopened store must come back to a
-// byte-identical prefix of what the writer produced:
+// killed at a random moment — possibly mid-flush, mid-checkpoint,
+// mid-segment-rotation or mid-copy-forward — and the reopened store must
+// come back to a byte-identical prefix of what the writer produced, for
+// every group of the one shared log:
 //   * every update the writer observed as flushed survives (the durable
 //     floor, communicated through an atomically-replaced progress file);
 //   * recovered sequence numbers are contiguous from the checkpoint base,
 //     with no gap, duplicate, or resurrected record beyond the unflushed
 //     tail;
-//   * recovered payloads are byte-identical to what was written (payloads
-//     are a pure function of seq, so the check needs no shared memory).
+//   * recovered payloads are byte-identical to what was written, and no
+//     record of an earlier incarnation of a removed and re-created group
+//     comes back (payloads name their group, incarnation and seq, so the
+//     check needs no shared memory).
 //
 // This is the process-level half of the recovery gate; the in-process
 // randomized crash-point equivalence property lives in disk_storage_test.cc
@@ -28,6 +31,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,8 +39,8 @@
 #include "core/client.h"
 #include "core/server.h"
 #include "net/socket_runtime.h"
+#include "storage/disk/crc32c.h"
 #include "storage/disk/disk_env.h"
-#include "storage/disk/disk_format.h"
 #include "storage/disk/disk_io.h"
 #include "storage/group_store.h"
 #include "util/bytes.h"
@@ -48,56 +52,258 @@ namespace {
 constexpr GroupId kGroup{1};
 constexpr std::size_t kSegmentBytes = 512;  // plenty of rotations per run
 
-Bytes payload_for(SeqNo seq) {
-  return filler_bytes(8 + seq % 48, static_cast<std::uint8_t>(seq * 131u));
+// The writer's groups: 1 trickles records and never checkpoints, so its
+// records are copied forward again and again; 4 is removed and created
+// again under the same id; 2 and 3 just write and checkpoint.
+constexpr std::uint64_t kGroups = 4;
+constexpr GroupId kTrickleGroup{1};
+constexpr GroupId kRecycledGroup{4};
+constexpr SeqNo kRemoving = UINT64_MAX;  // progress: a removal has begun
+
+// A small checksummed file of u64s, atomically replaced: how a child
+// process tells the parent how far it got.
+Bytes encode_u64s(const std::vector<std::uint64_t>& values) {
+  Bytes out = to_bytes("CPF1");
+  for (std::uint64_t v : values) {
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  const std::uint32_t crc = disk::crc32c(out);
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  }
+  return out;
 }
 
-Bytes snapshot_for(SeqNo base) {
-  return filler_bytes(4 + base % 32, static_cast<std::uint8_t>(base));
+std::optional<std::vector<std::uint64_t>> decode_u64s(BytesView buf,
+                                                      std::size_t n) {
+  if (buf.size() != 4 + 8 * n + 4 || to_string(buf.first(4)) != "CPF1") {
+    return std::nullopt;
+  }
+  std::uint32_t crc = 0;
+  for (int i = 0; i < 4; ++i) {
+    crc |= static_cast<std::uint32_t>(buf[4 + 8 * n + i]) << (8 * i);
+  }
+  if (crc != disk::crc32c(buf.first(4 + 8 * n))) return std::nullopt;
+  std::vector<std::uint64_t> values(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (int i = 0; i < 8; ++i) {
+      values[k] |= static_cast<std::uint64_t>(buf[4 + 8 * k + i]) << (8 * i);
+    }
+  }
+  return values;
 }
 
-UpdateRecord update_for(SeqNo seq) {
+void publish(const std::string& path, const std::vector<std::uint64_t>& v) {
+  disk::DiskCounters counters;
+  disk::atomic_write_file(path, encode_u64s(v), &counters);
+}
+
+std::optional<std::vector<std::uint64_t>> read_published(
+    const std::string& path, std::size_t n) {
+  const auto buf = disk::read_file(path);
+  if (!buf) return std::nullopt;
+  return decode_u64s(*buf, n);
+}
+
+// What the writer has seen committed: per group its incarnation and its
+// durable floor (kRemoving while a removal is under way), plus the records
+// its log has copied forward so far.
+struct Progress {
+  std::uint64_t inc[kGroups + 1] = {};
+  SeqNo floor[kGroups + 1] = {};
+  std::uint64_t copied = 0;
+
+  std::vector<std::uint64_t> values() const {
+    std::vector<std::uint64_t> v;
+    for (std::uint64_t g = 1; g <= kGroups; ++g) {
+      v.push_back(inc[g]);
+      v.push_back(floor[g]);
+    }
+    v.push_back(copied);
+    return v;
+  }
+  static std::optional<Progress> read(const std::string& path) {
+    const auto v = read_published(path, 2 * kGroups + 1);
+    if (!v) return std::nullopt;
+    Progress p;
+    for (std::uint64_t g = 1; g <= kGroups; ++g) {
+      p.inc[g] = (*v)[2 * (g - 1)];
+      p.floor[g] = (*v)[2 * (g - 1) + 1];
+    }
+    p.copied = (*v)[2 * kGroups];
+    return p;
+  }
+};
+
+std::string name_for(GroupId g, std::uint64_t inc) {
+  return "g" + std::to_string(g.value) + "-inc" + std::to_string(inc);
+}
+
+std::uint64_t inc_of(const std::string& name) {
+  const std::size_t at = name.find("-inc");
+  return at == std::string::npos
+             ? 0
+             : std::strtoull(name.c_str() + at + 4, nullptr, 10);
+}
+
+// Payloads and snapshots spell out their group, incarnation and seq, so a
+// record of another group or of an earlier incarnation never passes.
+Bytes payload_for(GroupId g, std::uint64_t inc, SeqNo seq) {
+  Bytes b = to_bytes(name_for(g, inc) + "-s" + std::to_string(seq) + ":");
+  const Bytes fill =
+      filler_bytes(8 + seq % 48, static_cast<std::uint8_t>(seq * 131u));
+  b.insert(b.end(), fill.begin(), fill.end());
+  return b;
+}
+
+Bytes snapshot_for(GroupId g, std::uint64_t inc, SeqNo base) {
+  Bytes b = to_bytes(name_for(g, inc) + "-b" + std::to_string(base) + ":");
+  const Bytes fill =
+      filler_bytes(4 + base % 32, static_cast<std::uint8_t>(base));
+  b.insert(b.end(), fill.begin(), fill.end());
+  return b;
+}
+
+UpdateRecord update_for(GroupId g, std::uint64_t inc, SeqNo seq) {
   UpdateRecord u;
   u.seq = seq;
   u.kind = PayloadKind::kUpdate;
   u.object = ObjectId{seq % 3};
-  u.data = payload_for(seq);
+  u.data = payload_for(g, inc, seq);
   u.sender = NodeId{100 + seq % 4};
   u.request_id = seq;
   return u;
 }
 
-// The victim: writes updates as fast as it can, flushing in small batches
-// and checkpointing periodically, until it is killed.  After every flush it
-// publishes the durable floor via an atomic file replace, so the parent
-// knows a lower bound on what recovery must yield.
+// The victim: resumes every group an earlier life left (creating the rest),
+// then writes to all of them as fast as it can, flushing in small batches,
+// checkpointing groups 2-4 now and then and recycling group 4, until it is
+// killed.  After every step it publishes its progress.
 [[noreturn]] void run_writer(const std::string& data_dir,
                              const std::string& progress_path,
                              std::uint64_t seed) {
   ::alarm(30);  // backstop: never outlive a parent that failed to kill us
   disk::DiskEnv env(disk::DiskEnvConfig{data_dir, kSegmentBytes});
   GroupStore gs(&env);
-  gs.create_group(GroupMeta{kGroup, "victim", true},
-                  {StateEntry{ObjectId{0}, snapshot_for(0)}});
+  Progress p = Progress::read(progress_path).value_or(Progress{});
+  SeqNo seq[kGroups + 1] = {};
+  SeqNo base[kGroups + 1] = {};
+  bool present[kGroups + 1] = {};
+  for (const RecoveredGroup& g : gs.recover()) {
+    const std::uint64_t id = g.meta.id.value;
+    if (id < 1 || id > kGroups) ::_exit(3);
+    SeqNo s = g.base_seq;
+    for (const UpdateRecord& u : g.updates) {
+      if (u.seq != s + 1) ::_exit(4);  // an earlier life left a gap
+      s = u.seq;
+    }
+    p.inc[id] = inc_of(g.meta.name);
+    seq[id] = s;
+    base[id] = g.base_seq;
+    present[id] = true;
+  }
+  const auto create = [&](GroupId g) {
+    ++p.inc[g.value];  // a number no earlier incarnation used
+    seq[g.value] = base[g.value] = 0;
+    const std::uint64_t inc = p.inc[g.value];
+    gs.create_group(GroupMeta{g, name_for(g, inc), true},
+                    {StateEntry{ObjectId{0}, snapshot_for(g, inc, 0)}},
+                    /*durable=*/true);
+  };
+  for (std::uint64_t id = 1; id <= kGroups; ++id) {
+    if (!present[id]) create(GroupId{id});
+  }
   Rng rng(seed);
-  disk::DiskCounters progress_counters;
-  SeqNo seq = 0;
-  SeqNo base = 0;  // checkpoints only ever move forward
   for (;;) {
     const std::size_t batch = 1 + rng.next_below(5);
     for (std::size_t i = 0; i < batch; ++i) {
-      gs.append_update(kGroup, update_for(++seq));
+      const GroupId g = rng.next_bool(0.05)
+                            ? kTrickleGroup
+                            : GroupId{2 + rng.next_below(kGroups - 1)};
+      gs.append_update(g, update_for(g, p.inc[g.value], ++seq[g.value]));
     }
     (void)gs.flush();
-    disk::atomic_write_file(progress_path, disk::encode_log_meta(seq),
-                            &progress_counters);
-    if (rng.next_bool(0.1)) {
-      base += rng.next_below(seq - base + 1);
-      gs.install_checkpoint(kGroup, base,
-                            {StateEntry{ObjectId{0}, snapshot_for(base)}});
+    for (std::uint64_t id = 1; id <= kGroups; ++id) p.floor[id] = seq[id];
+    p.copied = env.stats().records_copied;
+    publish(progress_path, p.values());
+    for (std::uint64_t id = 2; id <= kGroups; ++id) {
+      if (!rng.next_bool(0.1)) continue;
+      // Checkpoints only ever move forward, and leave a few records live.
+      const SeqNo live = std::min<SeqNo>(seq[id], rng.next_below(4));
+      base[id] = std::max(base[id], seq[id] - live);
+      const Bytes snap = snapshot_for(GroupId{id}, p.inc[id], base[id]);
+      gs.install_checkpoint(GroupId{id}, base[id],
+                            {StateEntry{ObjectId{0}, snap}});
       (void)gs.flush();
     }
+    if (rng.next_bool(0.02)) {
+      p.floor[kRecycledGroup.value] = kRemoving;
+      publish(progress_path, p.values());
+      gs.remove_group(kRecycledGroup);
+      create(kRecycledGroup);
+      p.floor[kRecycledGroup.value] = 0;
+      publish(progress_path, p.values());
+    }
   }
+}
+
+// A cold reopen of `data_dir` must hold, for every group, a byte-exact
+// prefix of what the writer wrote, at least up to the published floor.
+void expect_recovers_progress(const std::string& data_dir, const Progress& p) {
+  disk::DiskEnv env(disk::DiskEnvConfig{data_dir, kSegmentBytes});
+  GroupStore gs(&env);
+  bool seen[kGroups + 1] = {};
+  for (const RecoveredGroup& g : gs.recover()) {
+    const std::uint64_t id = g.meta.id.value;
+    ASSERT_TRUE(id >= 1 && id <= kGroups) << "unknown group " << id;
+    SCOPED_TRACE("group=" + std::to_string(id));
+    seen[id] = true;
+    const std::uint64_t inc = inc_of(g.meta.name);
+    if (p.floor[id] == kRemoving) {
+      ASSERT_TRUE(inc == p.inc[id] || inc == p.inc[id] + 1) << g.meta.name;
+    } else {
+      ASSERT_EQ(inc, p.inc[id]) << "another incarnation came back";
+    }
+    ASSERT_EQ(g.snapshot.size(), 1u);
+    EXPECT_EQ(g.snapshot[0].data, snapshot_for(g.meta.id, inc, g.base_seq));
+    // Contiguity: updates run base_seq+1 .. head with no gap or duplicate,
+    // and nothing below the floor was lost.
+    SeqNo expect = g.base_seq + 1;
+    for (const UpdateRecord& u : g.updates) {
+      ASSERT_EQ(u.seq, expect) << "gap or duplicate in recovered sequence";
+      ASSERT_EQ(u.data, payload_for(g.meta.id, inc, u.seq))
+          << "payload altered, or of another group or incarnation";
+      EXPECT_EQ(u.request_id, u.seq);
+      ++expect;
+    }
+    if (p.floor[id] != kRemoving) {
+      EXPECT_GE(expect - 1, p.floor[id])
+          << "a flush()-acknowledged update vanished across SIGKILL";
+    }
+  }
+  for (std::uint64_t id = 1; id <= kGroups; ++id) {
+    if (!seen[id]) {
+      EXPECT_EQ(p.floor[id], kRemoving) << "group " << id << " vanished";
+    }
+  }
+}
+
+// Polls the writer's progress until group 2's floor passes `above` and,
+// with `after_copy`, its log has copied records forward.
+std::optional<Progress> wait_for_floor(const std::string& progress_path,
+                                       SeqNo above, bool after_copy = false) {
+  for (int spins = 0; spins < 2000; ++spins) {
+    if (const auto p = Progress::read(progress_path)) {
+      if (p->floor[2] != kRemoving && p->floor[2] > above &&
+          (!after_copy || p->copied > 0)) {
+        return p;
+      }
+    }
+    ::usleep(5000);
+  }
+  return std::nullopt;
 }
 
 TEST(CrashRestart, SigkilledWriterRecoversDurablePrefixExactly) {
@@ -119,62 +325,30 @@ TEST(CrashRestart, SigkilledWriterRecoversDurablePrefixExactly) {
     // Wait for the writer's first flush (the progress file appearing with a
     // nonzero floor) — on a loaded machine the child may take a while to be
     // scheduled at all — then kill it without warning.  Varying the extra
-    // delay scatters the kill across flushes, rotations, checkpoints.
-    SeqNo first_floor = 0;
-    for (int spins = 0; spins < 2000 && first_floor == 0; ++spins) {
-      if (const auto buf = disk::read_file(progress_path)) {
-        if (const auto decoded = disk::decode_log_meta(*buf)) {
-          first_floor = *decoded;
-        }
-      }
-      if (first_floor == 0) ::usleep(5000);
-    }
-    ASSERT_GT(first_floor, 0u) << "writer never reached its first flush";
+    // delay scatters the kill across flushes, rotations, checkpoints and
+    // removals; the later rounds first wait for copy-forward to start, so
+    // their kills land while the trickling group's records move.
+    const bool after_copy = round >= 3;
+    ASSERT_TRUE(wait_for_floor(progress_path, 0, after_copy).has_value())
+        << "writer never reached its first flush"
+        << (after_copy ? " after a copy-forward" : "");
     ::usleep(1000 + 17000 * static_cast<useconds_t>(round));
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFSIGNALED(status));
 
-    // Durable floor: the highest seq the writer saw flush() return for.
-    SeqNo floor = 0;
-    if (const auto buf = disk::read_file(progress_path)) {
-      const auto decoded = disk::decode_log_meta(*buf);
-      ASSERT_TRUE(decoded.has_value());  // atomic replace: old or new, whole
-      floor = *decoded;
-    }
-    ASSERT_GT(floor, 0u) << "writer was killed before any flush";
-
+    // Atomic replace: the progress file is old or new, whole.
+    const auto progress = Progress::read(progress_path);
+    ASSERT_TRUE(progress.has_value());
     // Recover through a cold reopen of the data directory.
-    disk::DiskEnv env(disk::DiskEnvConfig{data_dir, kSegmentBytes});
-    GroupStore gs(&env);
-    const std::vector<RecoveredGroup> groups = gs.recover();
-    ASSERT_EQ(groups.size(), 1u);
-    const RecoveredGroup& g = groups[0];
-    EXPECT_EQ(g.meta.id, kGroup);
-    EXPECT_EQ(g.meta.name, "victim");
-    ASSERT_EQ(g.snapshot.size(), 1u);
-    EXPECT_EQ(g.snapshot[0].data, snapshot_for(g.base_seq));
-
-    // Contiguity: updates run base_seq+1 .. head with no gap or duplicate,
-    // and nothing below the floor was lost.
-    SeqNo expect = g.base_seq + 1;
-    for (const UpdateRecord& u : g.updates) {
-      ASSERT_EQ(u.seq, expect) << "gap or duplicate in recovered sequence";
-      ASSERT_EQ(u.data, payload_for(u.seq)) << "payload altered by recovery";
-      EXPECT_EQ(u.request_id, u.seq);
-      ++expect;
-    }
-    const SeqNo head = expect - 1;
-    EXPECT_GE(head, floor)
-        << "a flush()-acknowledged update vanished across SIGKILL";
-
+    ASSERT_NO_FATAL_FAILURE(expect_recovers_progress(data_dir, *progress));
     disk::remove_tree(root);
   }
 }
 
 // Kill, recover, write more, kill again: recovery must compose — the second
-// incarnation's appends chain onto the first's durable records.
+// life's appends chain onto the first's durable records, in every group.
 TEST(CrashRestart, RecoveryComposesAcrossTwoKills) {
   char tmpl[] = "/tmp/corona_crash_restart2_XXXXXX";
   const char* root = ::mkdtemp(tmpl);
@@ -182,59 +356,36 @@ TEST(CrashRestart, RecoveryComposesAcrossTwoKills) {
   const std::string data_dir = std::string(root) + "/data";
   const std::string progress_path = std::string(root) + "/progress";
 
+  Rng rng(0xabcdef);
   SeqNo resume_floor = 0;
+  std::optional<Progress> progress;
   for (int life = 0; life < 2; ++life) {
     SCOPED_TRACE("life=" + std::to_string(life));
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-      if (life == 0) {
-        run_writer(data_dir, progress_path, 0xabcdef);
-      }
-      // Second life: recover, then continue writing from the recovered head.
-      ::alarm(30);
-      disk::DiskEnv env(disk::DiskEnvConfig{data_dir, kSegmentBytes});
-      GroupStore gs(&env);
-      const auto groups = gs.recover();
-      if (groups.size() != 1) ::_exit(3);
-      SeqNo seq = groups[0].base_seq;
-      for (const UpdateRecord& u : groups[0].updates) {
-        if (u.seq != seq + 1) ::_exit(4);  // first life left a gap
-        seq = u.seq;
-      }
-      disk::DiskCounters progress_counters;
-      for (;;) {
-        gs.append_update(kGroup, update_for(++seq));
-        (void)gs.flush();
-        disk::atomic_write_file(progress_path, disk::encode_log_meta(seq),
-                                &progress_counters);
-      }
+      run_writer(data_dir, progress_path,
+                 0xabcdef + static_cast<std::uint64_t>(life));
     }
-    ::usleep(life == 0 ? 30000 : 40000);
+    // Kill only once this life has published progress of its own, after a
+    // short seeded delay.
+    const bool progressed =
+        wait_for_floor(progress_path, resume_floor).has_value();
+    if (progressed) {
+      ::usleep(1000 + static_cast<useconds_t>(rng.next_below(20000)));
+    }
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFSIGNALED(status)) << "writer exited: rc="
                                      << WEXITSTATUS(status);
-    const auto buf = disk::read_file(progress_path);
-    ASSERT_TRUE(buf.has_value());
-    const auto decoded = disk::decode_log_meta(*buf);
-    ASSERT_TRUE(decoded.has_value());
-    ASSERT_GT(*decoded, resume_floor) << "second life made no progress";
-    resume_floor = *decoded;
+    ASSERT_TRUE(progressed) << "life made no progress";
+    progress = Progress::read(progress_path);
+    ASSERT_TRUE(progress.has_value());
+    ASSERT_GT(progress->floor[2], resume_floor);
+    resume_floor = progress->floor[2];
   }
-
-  disk::DiskEnv env(disk::DiskEnvConfig{data_dir, kSegmentBytes});
-  GroupStore gs(&env);
-  const auto groups = gs.recover();
-  ASSERT_EQ(groups.size(), 1u);
-  SeqNo expect = groups[0].base_seq + 1;
-  for (const UpdateRecord& u : groups[0].updates) {
-    ASSERT_EQ(u.seq, expect);
-    ASSERT_EQ(u.data, payload_for(u.seq));
-    ++expect;
-  }
-  EXPECT_GE(expect - 1, resume_floor);
+  ASSERT_NO_FATAL_FAILURE(expect_recovers_progress(data_dir, *progress));
   disk::remove_tree(root);
 }
 
@@ -258,9 +409,7 @@ constexpr NodeId kClientNode{100};
   const auto port = rt.listen("127.0.0.1", 0);
   if (!port.is_ok()) ::_exit(2);
   rt.start();
-  disk::DiskCounters counters;
-  disk::atomic_write_file(port_path, disk::encode_log_meta(port.value()),
-                          &counters);
+  publish(port_path, {port.value()});
   for (;;) ::pause();
 }
 
@@ -301,9 +450,7 @@ TEST(CrashRestart, SigkilledSyncServerKeepsEveryAcknowledgedUpdate) {
 
     std::uint64_t port = 0;
     ASSERT_TRUE(wait_for([&] {
-      if (const auto buf = disk::read_file(port_path)) {
-        if (const auto decoded = disk::decode_log_meta(*buf)) port = *decoded;
-      }
+      if (const auto v = read_published(port_path, 1)) port = (*v)[0];
       return port != 0;
     }, 10000)) << "server never published its port";
 
@@ -351,7 +498,8 @@ TEST(CrashRestart, SigkilledSyncServerKeepsEveryAcknowledgedUpdate) {
          now = std::chrono::steady_clock::now()) {
       if (sent - acks.size() < 16) {
         ++sent;
-        client.bcast_update(kGroup, ObjectId{sent % 3}, payload_for(sent));
+        client.bcast_update(kGroup, ObjectId{sent % 3},
+                            payload_for(kGroup, 1, sent));
       } else {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }

@@ -17,7 +17,7 @@
 #include "storage/disk/disk_env.h"
 #include "storage/disk/disk_format.h"
 #include "storage/disk/disk_io.h"
-#include "storage/disk/disk_log.h"
+#include "storage/disk/shared_log.h"
 #include "storage/group_store.h"
 #include "util/bytes.h"
 #include "util/rng.h"
@@ -60,6 +60,31 @@ TEST(Crc32c, KnownVectors) {
   EXPECT_EQ(disk::crc32c(BytesView{}), 0u);
 }
 
+TEST(Crc32c, MatchesBitwiseReferenceAtEveryLengthAndSplit) {
+  // A bit-at-a-time CRC32C, independent of both fast paths.
+  const auto reference = [](const Bytes& data) {
+    std::uint32_t crc = 0xffffffffu;
+    for (const std::uint8_t byte : data) {
+      crc ^= byte;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1u) ? (crc >> 1) ^ 0x82f63b78u : crc >> 1;
+      }
+    }
+    return ~crc;
+  };
+  Rng rng(0xc3c3);
+  for (std::size_t n = 0; n <= 70; ++n) {
+    Bytes data(n);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+    ASSERT_EQ(disk::crc32c(data), reference(data)) << "n=" << n;
+    // Extending a running checksum equals checksumming the whole.
+    const std::size_t split = n == 0 ? 0 : rng.next_below(n);
+    const std::uint32_t head = disk::crc32c(data.data(), split);
+    ASSERT_EQ(disk::crc32c(data.data() + split, n - split, head),
+              reference(data));
+  }
+}
+
 TEST(Crc32c, DetectsSingleBitFlip) {
   Bytes data = filler_bytes(64);
   const std::uint32_t clean = disk::crc32c(data);
@@ -71,68 +96,101 @@ TEST(Crc32c, DetectsSingleBitFlip) {
 // Buffer-level formats
 // ---------------------------------------------------------------------------
 
-Bytes build_segment(std::uint64_t base, const std::vector<Bytes>& records) {
+// A log entry as a test writes it, and a scanned one copied back out.
+struct Entry {
+  GroupId group;
+  std::uint64_t index = 0;
+  disk::EntryKind kind = disk::EntryKind::kUpdate;
+  Bytes body;
+
+  friend bool operator==(const Entry&, const Entry&) = default;
+};
+
+Entry copy_of(const disk::EntryView& v) {
+  return Entry{v.group, v.index, v.kind, Bytes(v.body.begin(), v.body.end())};
+}
+
+std::vector<Entry> entries_of(const disk::SegmentScan& scan) {
+  std::vector<Entry> out;
+  for (const disk::EntryView& v : scan.entries) out.push_back(copy_of(v));
+  return out;
+}
+
+Entry mk_entry(std::uint64_t group, std::uint64_t index, Bytes body) {
+  return Entry{GroupId{group}, index, disk::EntryKind::kUpdate,
+               std::move(body)};
+}
+
+Bytes build_segment(std::uint64_t id, const std::vector<Entry>& entries) {
   Bytes buf;
-  disk::append_segment_header(buf, base);
-  for (const Bytes& r : records) disk::append_record(buf, r);
+  disk::append_segment_header(buf, id);
+  for (const Entry& e : entries) {
+    disk::append_entry(buf, e.group, e.index, e.kind, e.body);
+  }
   return buf;
 }
 
 TEST(DiskFormat, SegmentRoundTrip) {
-  const std::vector<Bytes> records = {to_bytes("a"), to_bytes("bb"), {}};
-  const Bytes buf = build_segment(42, records);
+  const std::vector<Entry> entries = {
+      mk_entry(1, 0, to_bytes("a")), mk_entry(2, 7, to_bytes("bb")),
+      Entry{GroupId{2}, 7, disk::EntryKind::kFloor, {}},
+      Entry{GroupId{1}, 1, disk::EntryKind::kTombstone, {}}};
+  const Bytes buf = build_segment(42, entries);
   const disk::SegmentScan scan = disk::scan_segment(buf);
   EXPECT_TRUE(scan.header_ok);
-  EXPECT_EQ(scan.base_index, 42u);
-  EXPECT_EQ(scan.records, records);
+  EXPECT_EQ(scan.segment_id, 42u);
+  EXPECT_EQ(entries_of(scan), entries);
   EXPECT_EQ(scan.valid_bytes, buf.size());
   EXPECT_FALSE(scan.truncated);
 }
 
 TEST(DiskFormat, TornTailTruncatesToLongestValidPrefix) {
-  const std::vector<Bytes> records = {to_bytes("one"), to_bytes("two")};
-  Bytes buf = build_segment(0, records);
+  const std::vector<Entry> entries = {mk_entry(1, 0, to_bytes("one")),
+                                      mk_entry(1, 1, to_bytes("two"))};
+  Bytes buf = build_segment(1, entries);
   const std::size_t full = buf.size();
-  // Cut the last record's payload short: the scan must keep record 0 only.
+  // Cut the last entry's payload short: the scan must keep entry 0 only.
   buf.resize(full - 1);
   const disk::SegmentScan scan = disk::scan_segment(buf);
   EXPECT_TRUE(scan.header_ok);
-  ASSERT_EQ(scan.records.size(), 1u);
-  EXPECT_EQ(scan.records[0], records[0]);
+  ASSERT_EQ(scan.entries.size(), 1u);
+  EXPECT_EQ(copy_of(scan.entries[0]), entries[0]);
   EXPECT_TRUE(scan.truncated);
   EXPECT_LT(scan.valid_bytes, buf.size());
 }
 
 TEST(DiskFormat, PayloadBitFlipKillsRecordAndEverythingAfter) {
-  Bytes buf =
-      build_segment(0, {to_bytes("aaaa"), to_bytes("bbbb"), to_bytes("cccc")});
-  // Flip one bit inside the second record's payload.
-  const std::size_t second_payload = disk::kSegmentHeaderBytes +
-                                     disk::record_size_on_disk(4) +
-                                     disk::kRecordHeaderBytes;
-  buf[second_payload] ^= 0x01;
+  Bytes buf = build_segment(1, {mk_entry(1, 0, to_bytes("aaaa")),
+                                mk_entry(1, 1, to_bytes("bbbb")),
+                                mk_entry(1, 2, to_bytes("cccc"))});
+  // Flip one bit inside the second entry's body.
+  const std::size_t second_body = disk::kSegmentHeaderBytes +
+                                  disk::entry_size_on_disk(4) +
+                                  disk::kRecordHeaderBytes +
+                                  disk::kEntryHeaderBytes;
+  buf[second_body] ^= 0x01;
   const disk::SegmentScan scan = disk::scan_segment(buf);
-  ASSERT_EQ(scan.records.size(), 1u);
-  EXPECT_EQ(scan.records[0], to_bytes("aaaa"));
+  ASSERT_EQ(scan.entries.size(), 1u);
+  EXPECT_EQ(copy_of(scan.entries[0]).body, to_bytes("aaaa"));
   EXPECT_TRUE(scan.truncated);
 }
 
 TEST(DiskFormat, BadHeaderContributesNothing) {
-  Bytes buf = build_segment(7, {to_bytes("x")});
+  Bytes buf = build_segment(7, {mk_entry(1, 0, to_bytes("x"))});
   buf[1] ^= 0xff;  // corrupt the magic
   const disk::SegmentScan scan = disk::scan_segment(buf);
   EXPECT_FALSE(scan.header_ok);
-  EXPECT_TRUE(scan.records.empty());
+  EXPECT_TRUE(scan.entries.empty());
 }
 
 TEST(DiskFormat, GarbageLengthStopsScan) {
-  Bytes buf = build_segment(0, {to_bytes("ok")});
+  Bytes buf = build_segment(1, {mk_entry(1, 0, to_bytes("ok"))});
   // Append a record header claiming a payload far past the sanity ceiling.
   for (const std::uint8_t b : {0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}) {
     buf.push_back(b);
   }
   const disk::SegmentScan scan = disk::scan_segment(buf);
-  ASSERT_EQ(scan.records.size(), 1u);
+  ASSERT_EQ(scan.entries.size(), 1u);
   EXPECT_TRUE(scan.truncated);
 }
 
@@ -151,40 +209,64 @@ TEST(DiskFormat, CheckpointFileRoundTripAndRejection) {
   EXPECT_FALSE(disk::decode_checkpoint_file(file).has_value());
 }
 
-TEST(DiskFormat, LogMetaRoundTripAndRejection) {
-  Bytes meta = disk::encode_log_meta(123456789u);
-  ASSERT_EQ(meta.size(), disk::kMetaFileBytes);
-  EXPECT_EQ(disk::decode_log_meta(meta), 123456789u);
-  meta[6] ^= 0x02;
-  EXPECT_FALSE(disk::decode_log_meta(meta).has_value());
+TEST(DiskFormat, LogEntryRoundTripAndRejection) {
+  Bytes framed;
+  disk::append_entry(framed, GroupId{9}, 123456789u, disk::EntryKind::kUpdate,
+                     to_bytes("body"));
+  ASSERT_EQ(framed.size(), disk::entry_size_on_disk(4));
+  const BytesView payload(framed.data() + disk::kRecordHeaderBytes,
+                          framed.size() - disk::kRecordHeaderBytes);
+  const auto e = disk::decode_entry(payload);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->group, GroupId{9});
+  EXPECT_EQ(e->index, 123456789u);
+  EXPECT_EQ(e->kind, disk::EntryKind::kUpdate);
+  EXPECT_EQ(copy_of(*e).body, to_bytes("body"));
+  // A payload shorter than the entry header, or of an unknown kind, is not
+  // an entry.
+  EXPECT_FALSE(disk::decode_entry(payload.first(disk::kEntryHeaderBytes - 1))
+                   .has_value());
+  Bytes bad_kind(payload.begin(), payload.end());
+  bad_kind[16] = 0x7f;
+  EXPECT_FALSE(disk::decode_entry(bad_kind).has_value());
 }
 
 // ---------------------------------------------------------------------------
-// DiskLog
+// DiskLog: one group's view of the shared log (SharedLog::open)
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kSmallSegment = 128;  // force rotation in tests
+constexpr GroupId kLogGroup{1};
+
+std::vector<std::string> segment_files(const std::string& dir) {
+  std::vector<std::string> segs;
+  for (const std::string& f : disk::list_files(dir)) {
+    if (f.starts_with("seg-")) segs.push_back(dir + "/" + f);
+  }
+  return segs;
+}
 
 TEST(DiskLog, ContractMatchesStableLog) {
   TempDir dir;
   DiskCounters counters;
-  disk::DiskLog log(dir.path() + "/log", kSmallSegment, &counters);
-  log.append(to_bytes("a"));
-  EXPECT_EQ(log.size(), 1u);
-  EXPECT_EQ(log.durable_size(), 0u);
-  EXPECT_GT(log.pending_bytes(), 0u);
-  EXPECT_EQ(log.flush(), 1u);
-  EXPECT_EQ(log.durable_size(), 1u);
-  EXPECT_EQ(log.pending_bytes(), 0u);
-  log.append(to_bytes("b"));
-  log.append(to_bytes("c"));
-  EXPECT_EQ(log.flush(), 2u);  // commit group of 2
-  EXPECT_EQ(log.commits(), 2u);
-  EXPECT_EQ(log.max_commit_records(), 2u);
-  log.append(to_bytes("lost"));
-  log.crash();
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(to_string(log.record(2)), "c");
+  disk::SharedLog shared(dir.path() + "/log", kSmallSegment, &counters);
+  const auto log = shared.open(kLogGroup);
+  log->append(to_bytes("a"));
+  EXPECT_EQ(log->size(), 1u);
+  EXPECT_EQ(log->durable_size(), 0u);
+  EXPECT_GT(log->pending_bytes(), 0u);
+  EXPECT_EQ(log->flush(), 1u);
+  EXPECT_EQ(log->durable_size(), 1u);
+  EXPECT_EQ(log->pending_bytes(), 0u);
+  log->append(to_bytes("b"));
+  log->append(to_bytes("c"));
+  EXPECT_EQ(log->flush(), 2u);  // commit group of 2
+  EXPECT_EQ(log->commits(), 2u);
+  EXPECT_EQ(log->max_commit_records(), 2u);
+  log->append(to_bytes("lost"));
+  log->crash();
+  ASSERT_EQ(log->size(), 3u);
+  EXPECT_EQ(to_string(log->record(2)), "c");
 }
 
 TEST(DiskLog, ReopenRecoversFlushedDropsUnflushed) {
@@ -192,18 +274,20 @@ TEST(DiskLog, ReopenRecoversFlushedDropsUnflushed) {
   DiskCounters counters;
   const std::string path = dir.path() + "/log";
   {
-    disk::DiskLog log(path, kSmallSegment, &counters);
-    log.append(to_bytes("durable1"));
-    log.append(to_bytes("durable2"));
-    log.flush();
-    log.append(to_bytes("unflushed"));
-    // Destructor: process death with a dirty tail.
+    disk::SharedLog shared(path, kSmallSegment, &counters);
+    const auto log = shared.open(kLogGroup);
+    log->append(to_bytes("durable1"));
+    log->append(to_bytes("durable2"));
+    (void)log->flush();
+    log->append(to_bytes("unflushed"));
+    // Destructors: process death with a dirty tail.
   }
-  disk::DiskLog log(path, kSmallSegment, &counters);
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log.durable_size(), 2u);
-  EXPECT_EQ(to_string(log.record(0)), "durable1");
-  EXPECT_EQ(to_string(log.record(1)), "durable2");
+  disk::SharedLog shared(path, kSmallSegment, &counters);
+  const auto log = shared.open(kLogGroup);
+  ASSERT_EQ(log->size(), 2u);
+  EXPECT_EQ(log->durable_size(), 2u);
+  EXPECT_EQ(to_string(log->record(0)), "durable1");
+  EXPECT_EQ(to_string(log->record(1)), "durable2");
   EXPECT_EQ(counters.recovered_records, 2u);
 }
 
@@ -212,17 +296,19 @@ TEST(DiskLog, RotatesSegmentsAndRecoversAcrossThem) {
   DiskCounters counters;
   const std::string path = dir.path() + "/log";
   {
-    disk::DiskLog log(path, kSmallSegment, &counters);
+    disk::SharedLog shared(path, kSmallSegment, &counters);
+    const auto log = shared.open(kLogGroup);
     for (int i = 0; i < 20; ++i) {
-      log.append(filler_bytes(32, static_cast<std::uint8_t>(i)));
-      log.flush();
+      log->append(filler_bytes(32, static_cast<std::uint8_t>(i)));
+      (void)log->flush();
     }
-    EXPECT_GT(log.segment_count(), 1u);
+    EXPECT_GT(shared.segment_count(), 1u);
   }
-  disk::DiskLog log(path, kSmallSegment, &counters);
-  ASSERT_EQ(log.size(), 20u);
+  disk::SharedLog shared(path, kSmallSegment, &counters);
+  const auto log = shared.open(kLogGroup);
+  ASSERT_EQ(log->size(), 20u);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(log.record(static_cast<std::size_t>(i)),
+    EXPECT_EQ(log->record(static_cast<std::size_t>(i)),
               filler_bytes(32, static_cast<std::uint8_t>(i)));
   }
 }
@@ -232,24 +318,31 @@ TEST(DiskLog, DropPrefixDeletesCoveredSegmentsAndSurvivesReopen) {
   DiskCounters counters;
   const std::string path = dir.path() + "/log";
   {
-    disk::DiskLog log(path, kSmallSegment, &counters);
+    disk::SharedLog shared(path, kSmallSegment, &counters);
+    const auto log = shared.open(kLogGroup);
     for (int i = 0; i < 20; ++i) {
-      log.append(filler_bytes(32, static_cast<std::uint8_t>(i)));
-      log.flush();
+      log->append(filler_bytes(32, static_cast<std::uint8_t>(i)));
+      (void)log->flush();
     }
-    const std::size_t before = log.segment_count();
-    log.drop_prefix(15);
-    EXPECT_LT(log.segment_count(), before);
+    const std::size_t before = shared.segment_count();
+    log->drop_prefix(15);
+    EXPECT_LT(shared.segment_count(), before);
     EXPECT_GT(counters.segments_deleted, 0u);
-    ASSERT_EQ(log.size(), 5u);
-    EXPECT_EQ(log.record(0), filler_bytes(32, 15));
-    EXPECT_EQ(log.start_index(), 15u);
+    ASSERT_EQ(log->size(), 5u);
+    EXPECT_EQ(log->record(0), filler_bytes(32, 15));
+    EXPECT_EQ(log->start_index(), 15u);
   }
-  disk::DiskLog log(path, kSmallSegment, &counters);
-  ASSERT_EQ(log.size(), 5u);
-  EXPECT_EQ(log.start_index(), 15u);
-  EXPECT_EQ(log.record(0), filler_bytes(32, 15));
-  EXPECT_EQ(log.record(4), filler_bytes(32, 19));
+  // Two records fit a segment, so record 14 shares one with live record 15
+  // and comes back; every wholly-covered segment stays gone.  (GroupStore
+  // filters such a record by seq against the checkpoint base.)
+  disk::SharedLog shared(path, kSmallSegment, &counters);
+  const auto log = shared.open(kLogGroup);
+  ASSERT_EQ(log->size(), 6u);
+  EXPECT_EQ(log->start_index(), 14u);
+  for (std::size_t i = 0; i < log->size(); ++i) {
+    EXPECT_EQ(log->record(i), filler_bytes(32, static_cast<std::uint8_t>(
+                                                   log->start_index() + i)));
+  }
 }
 
 TEST(DiskLog, AppendsKeepWorkingAfterDropPrefixCoversEverything) {
@@ -257,18 +350,21 @@ TEST(DiskLog, AppendsKeepWorkingAfterDropPrefixCoversEverything) {
   DiskCounters counters;
   const std::string path = dir.path() + "/log";
   {
-    disk::DiskLog log(path, kSmallSegment, &counters);
-    for (int i = 0; i < 4; ++i) log.append(to_bytes("x"));
-    log.flush();
-    log.drop_prefix(4);  // covers the whole durable log
-    EXPECT_EQ(log.size(), 0u);
-    log.append(to_bytes("after"));
-    log.flush();
+    disk::SharedLog shared(path, kSmallSegment, &counters);
+    const auto log = shared.open(kLogGroup);
+    for (int i = 0; i < 4; ++i) log->append(to_bytes("x"));
+    (void)log->flush();
+    log->drop_prefix(4);  // covers the whole durable log
+    EXPECT_EQ(log->size(), 0u);
+    EXPECT_EQ(shared.segment_count(), 0u);
+    log->append(to_bytes("after"));
+    (void)log->flush();
   }
-  disk::DiskLog log(path, kSmallSegment, &counters);
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(to_string(log.record(0)), "after");
-  EXPECT_EQ(log.start_index(), 4u);
+  disk::SharedLog shared(path, kSmallSegment, &counters);
+  const auto log = shared.open(kLogGroup);
+  ASSERT_EQ(log->size(), 1u);
+  EXPECT_EQ(to_string(log->record(0)), "after");
+  EXPECT_EQ(log->start_index(), 4u);
 }
 
 TEST(DiskLog, TornTailIsTruncatedOnReopen) {
@@ -276,54 +372,54 @@ TEST(DiskLog, TornTailIsTruncatedOnReopen) {
   DiskCounters counters;
   const std::string path = dir.path() + "/log";
   {
-    disk::DiskLog log(path, 1u << 20, &counters);
-    log.append(to_bytes("keep1"));
-    log.append(to_bytes("keep2"));
-    log.flush();
+    disk::SharedLog shared(path, 1u << 20, &counters);
+    const auto log = shared.open(kLogGroup);
+    log->append(to_bytes("keep1"));
+    log->append(to_bytes("keep2"));
+    (void)log->flush();
   }
   // Simulate a torn write: garbage appended past the last durable record.
-  const std::vector<std::string> files = disk::list_files(path);
-  std::string seg;
-  for (const std::string& f : files) {
-    if (f.starts_with("seg-")) seg = path + "/" + f;
-  }
-  ASSERT_FALSE(seg.empty());
+  const std::vector<std::string> segs = segment_files(path);
+  ASSERT_EQ(segs.size(), 1u);
   {
-    disk::AppendFile torn = disk::AppendFile::open(seg, &counters);
+    disk::AppendFile torn = disk::AppendFile::open(segs[0], &counters);
     const Bytes garbage = {0x13, 0x37, 0x00, 0x00, 0xde, 0xad};
     torn.write(garbage);
     torn.sync();
   }
   {
-    disk::DiskLog log(path, 1u << 20, &counters);
-    ASSERT_EQ(log.size(), 2u);
-    EXPECT_EQ(to_string(log.record(0)), "keep1");
+    disk::SharedLog shared(path, 1u << 20, &counters);
+    const auto log = shared.open(kLogGroup);
+    ASSERT_EQ(log->size(), 2u);
+    EXPECT_EQ(to_string(log->record(0)), "keep1");
     EXPECT_GT(counters.truncated_bytes, 0u);
     // The torn bytes were physically cut; appending must chain cleanly.
-    log.append(to_bytes("after"));
-    log.flush();
+    log->append(to_bytes("after"));
+    (void)log->flush();
   }
-  disk::DiskLog log(path, 1u << 20, &counters);
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(to_string(log.record(2)), "after");
+  disk::SharedLog shared(path, 1u << 20, &counters);
+  const auto log = shared.open(kLogGroup);
+  ASSERT_EQ(log->size(), 3u);
+  EXPECT_EQ(to_string(log->record(2)), "after");
 }
 
 TEST(DiskLog, FlushSpanningRotationSyncsEverySegmentTouched) {
   TempDir dir;
   DiskCounters counters;
-  disk::DiskLog log(dir.path() + "/log", kSmallSegment, &counters);
+  disk::SharedLog shared(dir.path() + "/log", kSmallSegment, &counters);
+  const auto log = shared.open(kLogGroup);
   for (int i = 0; i < 12; ++i) {
-    log.append(filler_bytes(32, static_cast<std::uint8_t>(i)));
+    log->append(filler_bytes(32, static_cast<std::uint8_t>(i)));
   }
   const std::uint64_t before = counters.fsyncs;
-  ASSERT_EQ(log.flush(), 12u);
-  ASSERT_GT(log.segment_count(), 2u);
+  ASSERT_EQ(log->flush(), 12u);
+  ASSERT_GT(shared.segment_count(), 2u);
   // Every segment the commit group touched must be synced before flush()
   // returns, not just the final active one: one data sync per rotation
   // hand-off plus the end-of-flush sync (segment creation contributes one
   // directory sync each).  Syncing only the last segment would acknowledge
   // records that a power loss can tear out of the rotated-out segments.
-  EXPECT_GE(counters.fsyncs - before, 2u * log.segment_count() - 1);
+  EXPECT_GE(counters.fsyncs - before, 2u * shared.segment_count() - 1);
 }
 
 TEST(DiskLog, RecoveryDroppingSegmentsSyncsTheDirectory) {
@@ -331,31 +427,30 @@ TEST(DiskLog, RecoveryDroppingSegmentsSyncsTheDirectory) {
   DiskCounters counters;
   const std::string path = dir.path() + "/log";
   {
-    disk::DiskLog log(path, kSmallSegment, &counters);
+    disk::SharedLog shared(path, kSmallSegment, &counters);
+    const auto log = shared.open(kLogGroup);
     for (int i = 0; i < 20; ++i) {
-      log.append(filler_bytes(32, static_cast<std::uint8_t>(i)));
-      log.flush();
+      log->append(filler_bytes(32, static_cast<std::uint8_t>(i)));
+      (void)log->flush();
     }
   }
   // Corrupt the SECOND segment's header: recovery keeps segment one, then
   // unlinks the corrupt segment and everything after it (chain break) —
   // removals only, no truncation.
-  std::vector<std::string> segs;
-  for (const std::string& f : disk::list_files(path)) {
-    if (f.starts_with("seg-")) segs.push_back(path + "/" + f);
-  }
+  const std::vector<std::string> segs = segment_files(path);
   ASSERT_GT(segs.size(), 2u);
   Bytes content = *disk::read_file(segs[1]);
   content[1] ^= 0xff;  // break the magic
   disk::atomic_write_file(segs[1], content, &counters);
 
   const std::uint64_t before = counters.fsyncs;
-  disk::DiskLog log(path, kSmallSegment, &counters);
+  disk::SharedLog shared(path, kSmallSegment, &counters);
   EXPECT_GT(counters.corrupt_files_dropped, 0u);
   // The unlinks are dirty directory pages until the directory itself is
   // synced; without it a later power loss can resurrect a dropped-but-valid
-  // stale segment that chains onto the rebuilt log.
+  // stale segment.
   EXPECT_GT(counters.fsyncs, before);
+  EXPECT_EQ(shared.segment_count(), 1u);
 }
 
 TEST(DiskLog, CorruptionInEarlySegmentDropsLaterSegments) {
@@ -363,38 +458,211 @@ TEST(DiskLog, CorruptionInEarlySegmentDropsLaterSegments) {
   DiskCounters counters;
   const std::string path = dir.path() + "/log";
   {
-    disk::DiskLog log(path, kSmallSegment, &counters);
+    disk::SharedLog shared(path, kSmallSegment, &counters);
+    const auto log = shared.open(kLogGroup);
     for (int i = 0; i < 20; ++i) {
-      log.append(filler_bytes(32, static_cast<std::uint8_t>(i)));
-      log.flush();
+      log->append(filler_bytes(32, static_cast<std::uint8_t>(i)));
+      (void)log->flush();
     }
-    EXPECT_GT(log.segment_count(), 2u);
+    EXPECT_GT(shared.segment_count(), 2u);
   }
-  // Flip a byte in the middle of the FIRST segment's record area.
-  const std::vector<std::string> files = disk::list_files(path);
-  std::string first_seg;
-  for (const std::string& f : files) {
-    if (f.starts_with("seg-")) {
-      first_seg = path + "/" + f;
-      break;
-    }
-  }
-  ASSERT_FALSE(first_seg.empty());
-  Bytes content = *disk::read_file(first_seg);
+  // Flip a byte in the middle of the FIRST segment's first entry.
+  const std::vector<std::string> segs = segment_files(path);
+  ASSERT_FALSE(segs.empty());
+  Bytes content = *disk::read_file(segs[0]);
   content[disk::kSegmentHeaderBytes + disk::kRecordHeaderBytes + 5] ^= 0x80;
-  disk::atomic_write_file(first_seg, content, &counters);
+  disk::atomic_write_file(segs[0], content, &counters);
 
-  disk::DiskLog log(path, kSmallSegment, &counters);
-  // Strict truncation: nothing at or after the flipped record survives,
-  // including the (intact) later segments.
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_GT(counters.corrupt_files_dropped, 0u);
-  // And the log must still accept new writes and recover them.
-  log.append(to_bytes("fresh"));
-  log.flush();
-  disk::DiskLog reopened(path, kSmallSegment, &counters);
-  ASSERT_EQ(reopened.size(), 1u);
-  EXPECT_EQ(to_string(reopened.record(0)), "fresh");
+  {
+    disk::SharedLog shared(path, kSmallSegment, &counters);
+    const auto log = shared.open(kLogGroup);
+    // Strict truncation: nothing at or after the flipped entry survives,
+    // including the (intact) later segments.
+    EXPECT_EQ(log->size(), 0u);
+    EXPECT_GT(counters.corrupt_files_dropped, 0u);
+    // And the log must still accept new writes and recover them.
+    log->append(to_bytes("fresh"));
+    (void)log->flush();
+  }
+  disk::SharedLog reopened(path, kSmallSegment, &counters);
+  const auto log = reopened.open(kLogGroup);
+  ASSERT_EQ(log->size(), 1u);
+  EXPECT_EQ(to_string(log->record(0)), "fresh");
+}
+
+// ---------------------------------------------------------------------------
+// SharedLog: many groups, one log
+// ---------------------------------------------------------------------------
+
+TEST(SharedLog, OneCommitSyncsEveryGroupOnce) {
+  TempDir dir;
+  DiskCounters counters;
+  disk::SharedLog shared(dir.path() + "/log", 1u << 20, &counters);
+  std::vector<std::unique_ptr<disk::LogView>> views;
+  for (std::uint64_t g = 1; g <= 16; ++g) {
+    views.push_back(shared.open(GroupId{g}));
+  }
+  for (auto& v : views) v->append(filler_bytes(100, 1));
+  (void)views[0]->flush();  // creates the first segment
+  for (auto& v : views) {
+    v->append(filler_bytes(1024, 2));
+    v->append(filler_bytes(1024, 3));
+  }
+  const std::uint64_t before = counters.fsyncs;
+  // The first view's flush commits all 32 records; the rest find nothing.
+  EXPECT_EQ(views[3]->flush(), 32u);
+  for (auto& v : views) {
+    EXPECT_EQ(v->flush(), 0u);
+    EXPECT_EQ(v->unflushed(), 0u);
+  }
+  EXPECT_EQ(counters.fsyncs - before, 1u);
+  EXPECT_EQ(shared.segment_count(), 1u);
+}
+
+TEST(SharedLog, GroupsInterleaveAndRecoverByIndex) {
+  TempDir dir;
+  DiskCounters counters;
+  const std::string path = dir.path() + "/log";
+  {
+    disk::SharedLog shared(path, kSmallSegment, &counters);
+    const auto a = shared.open(GroupId{1});
+    const auto b = shared.open(GroupId{2});
+    for (int i = 0; i < 10; ++i) {
+      a->append(filler_bytes(20, static_cast<std::uint8_t>(i)));
+      if (i % 3 == 0) b->append(filler_bytes(30, static_cast<std::uint8_t>(i)));
+      (void)b->flush();
+    }
+  }
+  disk::SharedLog shared(path, kSmallSegment, &counters);
+  EXPECT_EQ(shared.ids(), (std::vector<GroupId>{GroupId{1}, GroupId{2}}));
+  const auto a = shared.open(GroupId{1});
+  const auto b = shared.open(GroupId{2});
+  ASSERT_EQ(a->size(), 10u);
+  ASSERT_EQ(b->size(), 4u);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(a->record(i), filler_bytes(20, static_cast<std::uint8_t>(i)));
+  }
+  EXPECT_EQ(b->record(3), filler_bytes(30, 9));
+}
+
+TEST(SharedLog, RemovedIdNeverRecoversItsEarlierIncarnation) {
+  TempDir dir;
+  DiskCounters counters;
+  const std::string path = dir.path() + "/log";
+  {
+    disk::SharedLog shared(path, 1u << 20, &counters);
+    const auto keep = shared.open(GroupId{2});
+    {
+      const auto old = shared.open(GroupId{1});
+      for (int i = 0; i < 3; ++i) old->append(to_bytes("old"));
+      keep->append(to_bytes("pin"));  // keeps the segment alive
+      (void)old->flush();
+    }
+    const std::uint64_t before = counters.fsyncs;
+    shared.remove_group_log(GroupId{1});
+    EXPECT_EQ(counters.fsyncs - before, 1u);  // the tombstone, synced
+    const auto fresh = shared.open(GroupId{1});
+    EXPECT_EQ(fresh->size(), 0u);
+    EXPECT_EQ(fresh->start_index(), 3u);  // above every killed index
+    fresh->append(to_bytes("new"));
+    (void)fresh->flush();
+  }
+  disk::SharedLog shared(path, 1u << 20, &counters);
+  const auto g1 = shared.open(GroupId{1});
+  ASSERT_EQ(g1->size(), 1u);
+  EXPECT_EQ(to_string(g1->record(0)), "new");
+  EXPECT_EQ(g1->start_index(), 3u);
+  const auto g2 = shared.open(GroupId{2});
+  ASSERT_EQ(g2->size(), 1u);
+}
+
+TEST(SharedLog, RemovingANeverFlushedGroupWritesNothing) {
+  TempDir dir;
+  DiskCounters counters;
+  disk::SharedLog shared(dir.path() + "/log", 1u << 20, &counters);
+  {
+    const auto v = shared.open(GroupId{4});
+    v->append(to_bytes("staged only"));
+  }
+  const std::uint64_t before = counters.fsyncs;
+  shared.remove_group_log(GroupId{4});
+  EXPECT_EQ(counters.fsyncs, before);
+  EXPECT_TRUE(shared.ids().empty());
+  EXPECT_EQ(shared.segment_count(), 0u);
+}
+
+TEST(SharedLog, FloorEntrySkipsCoveredRecordsAtRecovery) {
+  TempDir dir;
+  DiskCounters counters;
+  const std::string path = dir.path() + "/log";
+  {
+    disk::SharedLog shared(path, 1u << 20, &counters);  // one segment
+    const auto covered = shared.open(kLogGroup);
+    const auto other = shared.open(GroupId{2});
+    for (int i = 0; i < 10; ++i) covered->append(to_bytes("r"));
+    (void)covered->flush();
+    covered->drop_prefix(7);  // a checkpoint covers indices 0..6
+    other->append(to_bytes("o"));
+    (void)other->flush();     // carries group 1's floor
+  }
+  const std::uint64_t before = counters.recovered_records;
+  disk::SharedLog shared(path, 1u << 20, &counters);
+  const auto covered = shared.open(kLogGroup);
+  EXPECT_EQ(covered->start_index(), 7u);
+  EXPECT_EQ(covered->size(), 3u);
+  EXPECT_EQ(counters.recovered_records - before, 4u);  // 3 + group 2's one
+}
+
+// A group that trickles records and never checkpoints would pin one segment
+// per record; copy-forward gathers its records into the tail instead.
+TEST(SharedLog, CopyForwardBoundsATricklingGroup) {
+  TempDir dir;
+  DiskCounters counters;
+  const std::string path = dir.path() + "/log";
+  std::size_t trickled = 0;
+  {
+    disk::SharedLog shared(path, kSmallSegment, &counters);
+    const auto trickle = shared.open(GroupId{1});
+    const auto busy = shared.open(GroupId{2});
+    for (int i = 0; i < 600; ++i) {
+      if (i % 3 == 0) {
+        trickle->append(filler_bytes(8, static_cast<std::uint8_t>(trickled++)));
+      }
+      busy->append(filler_bytes(40, static_cast<std::uint8_t>(i)));
+      (void)busy->flush();
+      busy->drop_prefix(busy->size());  // a checkpoint covering everything
+      const std::uint64_t bound =
+          disk::SharedLog::kCopyForwardFactor * shared.peak_live_bytes() +
+          (disk::SharedLog::kCopyForwardSlackSegments + 2) * kSmallSegment;
+      ASSERT_LE(shared.disk_bytes(), bound) << "commit " << i;
+    }
+    EXPECT_GT(counters.records_copied, 0u);
+    EXPECT_GT(counters.segments_deleted, 0u);
+  }
+  // The copies are the same records: the group recovers whole, in order.
+  disk::SharedLog shared(path, kSmallSegment, &counters);
+  const auto trickle = shared.open(GroupId{1});
+  ASSERT_EQ(trickle->size(), trickled);
+  EXPECT_EQ(trickle->start_index(), 0u);
+  for (std::size_t i = 0; i < trickled; ++i) {
+    EXPECT_EQ(trickle->record(i),
+              filler_bytes(8, static_cast<std::uint8_t>(i)));
+  }
+}
+
+TEST(DiskEnv, RefusesThePerGroupLayoutOfEarlierVersions) {
+  TempDir dir;
+  const std::string data = dir.path() + "/data";
+  disk::ensure_dir(data + "/groups/7");
+  DiskCounters counters;
+  disk::atomic_write_file(data + "/groups/7/seg-00000000000000000000.log",
+                          to_bytes("CSG1 old segment"), &counters);
+  EXPECT_DEATH(DiskEnv(DiskEnvConfig{data, 256}),
+               "groups/7 holds log segments in the per-group layout");
+  // Nothing was touched: the old records are still there to migrate by hand.
+  EXPECT_TRUE(disk::read_file(data + "/groups/7/seg-00000000000000000000.log")
+                  .has_value());
+  EXPECT_FALSE(disk::dir_exists(data + "/log"));
 }
 
 // ---------------------------------------------------------------------------
@@ -595,14 +863,84 @@ TEST(DiskGroupStore, CheckpointCoveredRecordsDoNotResurrect) {
   EXPECT_EQ(recovered[0].updates[0].seq, 5u);
 }
 
+// remove_group killed between its durable checkpoint erase and the log's
+// tombstone, after a checkpoint had covered every record of the group.  The
+// restart finds no live record of it, only dead ones in a segment another
+// group pins, and must still reap it with a tombstone: otherwise a
+// re-created id starts at the floor, and once the floor's segment goes the
+// old records join the new ones into one run.
+TEST(DiskGroupStore, FloorCoveredOrphanIsReapedBeforeItsIdIsReused) {
+  TempDir dir;
+  const std::string data = dir.path() + "/data";
+  constexpr std::size_t kSeg = 4096;
+  const Bytes fill_segment = filler_bytes(kSeg);  // forces the next rotation
+  {
+    DiskEnv env(DiskEnvConfig{data, kSeg});
+    GroupStore gs(&env);
+    for (std::uint64_t g = 1; g <= 3; ++g) {
+      gs.create_group(GroupMeta{GroupId{g}, "g", true}, {}, /*durable=*/true);
+    }
+    // Segment 1: group 1's record pins it; group 2's records will be dead.
+    gs.append_update(GroupId{1}, mk_update(1, ObjectId{1}, to_bytes("pin")));
+    for (SeqNo s = 1; s <= 3; ++s) {
+      gs.append_update(GroupId{2}, mk_update(s, ObjectId{1}, to_bytes("old")));
+    }
+    (void)gs.flush();
+    gs.append_update(GroupId{3}, mk_update(1, ObjectId{1}, fill_segment));
+    (void)gs.flush();
+    gs.install_checkpoint(GroupId{2}, 3, {});  // covers all of group 2
+    // Segment 2: the floor for group 2, and a record that fills it.
+    gs.append_update(GroupId{3}, mk_update(2, ObjectId{1}, fill_segment));
+    (void)gs.flush();
+    ASSERT_EQ(env.log().segment_count(), 2u);
+    // remove_group(2) dies here: its checkpoint erase is durable, the
+    // tombstone never written.
+    env.checkpoints().erase("group/2");
+    env.checkpoints().flush();
+  }
+  {
+    DiskEnv env(DiskEnvConfig{data, kSeg});
+    GroupStore gs(&env);  // reaps group 2
+    gs.create_group(GroupMeta{GroupId{2}, "again", true}, {}, true);
+    for (SeqNo s = 1; s <= 2; ++s) {
+      gs.append_update(GroupId{2}, mk_update(s, ObjectId{1}, to_bytes("new")));
+    }
+    (void)gs.flush();
+    // Group 3's checkpoint lets segment 2, and the floor in it, go; group 1
+    // still pins segment 1 with the old incarnation's records.
+    gs.install_checkpoint(GroupId{3}, 2, {});
+    ASSERT_TRUE(disk::read_file(data + "/log/seg-00000000000000000001.log")
+                    .has_value());
+    ASSERT_FALSE(disk::read_file(data + "/log/seg-00000000000000000002.log")
+                     .has_value());
+  }
+  DiskEnv env(DiskEnvConfig{data, kSeg});
+  GroupStore gs(&env);
+  const auto recovered = gs.recover();
+  ASSERT_EQ(recovered.size(), 3u);
+  const RecoveredGroup& g2 = recovered[1];
+  ASSERT_EQ(g2.meta.id, GroupId{2});
+  EXPECT_EQ(g2.meta.name, "again");
+  ASSERT_EQ(g2.updates.size(), 2u);
+  for (SeqNo s = 1; s <= 2; ++s) {
+    EXPECT_EQ(g2.updates[s - 1].seq, s);
+    EXPECT_EQ(g2.updates[s - 1].data, to_bytes("new"));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Backend-equivalence property: randomized ops + crash points
 // ---------------------------------------------------------------------------
 
 // Drives the same randomized op sequence into a disk-backed GroupStore and
 // the in-memory reference, crashes both at the same random point, recovers
-// the disk store through a REAL reopen, and requires identical views.
+// the disk store through a REAL reopen, and requires identical views.  At
+// least four groups interleave in the one log, each checkpoints on its own,
+// removed ids are created again, and group 1 trickles records without ever
+// checkpointing, so the small segments rotate and copy forward all along.
 TEST(DiskGroupStore, RandomizedCrashPointEquivalenceProperty) {
+  std::uint64_t copied = 0;
+  std::uint64_t recycled = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     TempDir dir;
     Rng rng(seed * 0x9e3779b9u);
@@ -613,23 +951,38 @@ TEST(DiskGroupStore, RandomizedCrashPointEquivalenceProperty) {
       GroupStore mem_gs;  // reference model
 
       std::vector<GroupId> live;
+      std::vector<GroupId> removed;
       std::unordered_map<std::uint64_t, SeqNo> next_seq;
       std::uint64_t next_id = 1;
-      const int ops = 60 + static_cast<int>(rng.next_below(60));
+      const auto create = [&](GroupId id) {
+        const GroupMeta meta{id, "g" + std::to_string(id.value),
+                             rng.next_bool(0.5)};
+        const std::vector<StateEntry> init = {
+            StateEntry{ObjectId{1}, filler_bytes(rng.next_below(40))}};
+        disk_gs.create_group(meta, init);
+        mem_gs.create_group(meta, init);
+        live.push_back(id);
+        next_seq[id.value] = 1;
+      };
+      for (int i = 0; i < 4; ++i) create(GroupId{next_id++});
+      const GroupId trickler{1};
+      const int ops = 150 + static_cast<int>(rng.next_below(150));
       for (int op = 0; op < ops; ++op) {
         const std::uint64_t pick = rng.next_below(100);
-        if (live.empty() || pick < 10) {
-          const GroupMeta meta{GroupId{next_id}, "g" + std::to_string(next_id),
-                               rng.next_bool(0.5)};
-          const std::vector<StateEntry> init = {
-              StateEntry{ObjectId{1}, filler_bytes(rng.next_below(40))}};
-          disk_gs.create_group(meta, init);
-          mem_gs.create_group(meta, init);
-          live.push_back(meta.id);
-          next_seq[next_id] = 1;
-          ++next_id;
+        if (pick < 6) {
+          if (!removed.empty() && rng.next_bool(0.5)) {
+            const std::size_t idx = rng.next_below(removed.size());
+            create(removed[idx]);  // a recycled id: a new incarnation
+            removed.erase(removed.begin() + static_cast<std::ptrdiff_t>(idx));
+            ++recycled;
+          } else {
+            create(GroupId{next_id++});
+          }
         } else if (pick < 60) {
-          const GroupId g = live[rng.next_below(live.size())];
+          GroupId g = live[rng.next_below(live.size())];
+          if (g == trickler && rng.next_bool(0.8)) {
+            g = live[rng.next_below(live.size())];
+          }
           const SeqNo s = next_seq[g.value]++;
           const UpdateRecord u = mk_update(
               s, ObjectId{rng.next_below(4)},
@@ -637,26 +990,29 @@ TEST(DiskGroupStore, RandomizedCrashPointEquivalenceProperty) {
                            static_cast<std::uint8_t>(rng.next_u64())));
           disk_gs.append_update(g, u);
           mem_gs.append_update(g, u);
-        } else if (pick < 75) {
+        } else if (pick < 78) {
           (void)disk_gs.flush();
           (void)mem_gs.flush();
-        } else if (pick < 90) {
+        } else if (pick < 92) {
           const GroupId g = live[rng.next_below(live.size())];
+          if (g == trickler) continue;
           const SeqNo base = next_seq[g.value] - 1;
           const std::vector<StateEntry> snap = {
               StateEntry{ObjectId{1}, filler_bytes(base % 30)}};
           disk_gs.install_checkpoint(g, base, snap);
           mem_gs.install_checkpoint(g, base, snap);
-        } else if (live.size() > 1) {
-          const std::size_t idx = rng.next_below(live.size());
+        } else if (live.size() > 2) {
+          const std::size_t idx = 1 + rng.next_below(live.size() - 1);
           disk_gs.remove_group(live[idx]);
           mem_gs.remove_group(live[idx]);
+          removed.push_back(live[idx]);
           live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
         }
       }
       // Crash both models at the same (random) point.
       mem_gs.crash();
       expected = mem_gs.recover();
+      copied += env.stats().records_copied;
     }
     // Disk recovery goes through a REAL reopen of the directory.
     DiskEnv env(DiskEnvConfig{dir.path() + "/data", 200});
@@ -664,6 +1020,80 @@ TEST(DiskGroupStore, RandomizedCrashPointEquivalenceProperty) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     expect_same_recovery(recovered.recover(), expected);
   }
+  // The property really ran through copy-forward and recycled ids.
+  EXPECT_GT(copied, 0u);
+  EXPECT_GT(recycled, 0u);
+}
+
+// One group writes once; the others write many segments' worth and
+// checkpoint as they go.  The stale record must not pin the log.
+TEST(DiskGroupStore, StaleGroupDoesNotPinTheLog) {
+  TempDir dir;
+  constexpr std::size_t kSeg = 512;
+  DiskEnv env(DiskEnvConfig{dir.path() + "/data", kSeg});
+  GroupStore gs(&env);
+  for (std::uint64_t g = 1; g <= 4; ++g) {
+    gs.create_group(GroupMeta{GroupId{g}, "g", true}, {}, /*durable=*/true);
+  }
+  gs.append_update(GroupId{1}, mk_update(1, ObjectId{1}, to_bytes("stale")));
+  (void)gs.flush();
+  std::uint64_t seq[5] = {0, 1, 0, 0, 0};
+  std::size_t max_segments = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const GroupId g{2 + static_cast<std::uint64_t>(i % 3)};
+    const Bytes data = filler_bytes(60, static_cast<std::uint8_t>(i));
+    gs.append_update(g, mk_update(++seq[g.value], ObjectId{1}, data));
+    (void)gs.flush();
+    if (seq[g.value] % 16 == 0) {
+      gs.install_checkpoint(g, seq[g.value], {});
+    }
+    max_segments = std::max(max_segments, env.log().segment_count());
+  }
+  // Written: ~3000 x 100 B, hundreds of segments.  Held at any time: the
+  // trigger's bound, 2 x peak live + 4 segments, plus the active one.
+  const std::uint64_t bound =
+      disk::SharedLog::kCopyForwardFactor * env.log().peak_live_bytes() /
+          kSeg +
+      disk::SharedLog::kCopyForwardSlackSegments + 2;
+  EXPECT_LE(max_segments, bound);
+  EXPECT_GT(env.stats().segments_created, 10 * bound);
+  const auto groups = gs.recover();
+  ASSERT_EQ(groups.size(), 4u);
+  ASSERT_EQ(groups[0].updates.size(), 1u);
+  EXPECT_EQ(groups[0].updates[0].data, to_bytes("stale"));
+}
+
+// durable_sync's shape in miniature: 16 groups, even round-robin load, a
+// count-threshold checkpoint per group.  Dead records wait for the group
+// furthest from its checkpoint, never long enough to trip copy-forward.
+TEST(DiskGroupStore, EvenLoadNeverCopiesForward) {
+  TempDir dir;
+  DiskEnv env(DiskEnvConfig{dir.path() + "/data", 4096});
+  GroupStore gs(&env);
+  constexpr std::uint64_t kGroups = 16;
+  constexpr SeqNo kThreshold = 64;
+  for (std::uint64_t g = 1; g <= kGroups; ++g) {
+    gs.create_group(GroupMeta{GroupId{g}, "g", true}, {}, /*durable=*/true);
+  }
+  Rng rng(0xe7e7);
+  std::vector<SeqNo> seq(kGroups + 1, 0);
+  std::vector<SeqNo> base(kGroups + 1, 0);
+  for (int round = 0; round < 40 * static_cast<int>(kThreshold); ++round) {
+    for (std::uint64_t g = 1; g <= kGroups; ++g) {
+      if (rng.next_bool(0.1)) continue;  // uneven within a round
+      gs.append_update(GroupId{g}, mk_update(++seq[g], ObjectId{1},
+                                             filler_bytes(100, 3)));
+    }
+    (void)gs.flush();
+    for (std::uint64_t g = 1; g <= kGroups; ++g) {
+      if (seq[g] - base[g] >= kThreshold) {
+        base[g] = seq[g];
+        gs.install_checkpoint(GroupId{g}, base[g], {});
+      }
+    }
+  }
+  EXPECT_EQ(env.stats().records_copied, 0u);
+  EXPECT_GT(env.stats().segments_deleted, 10u);
 }
 
 }  // namespace
